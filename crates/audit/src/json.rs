@@ -12,7 +12,14 @@
 //!   fields accept either.
 //! - **Whole-input strictness.** `parse` fails on trailing garbage, so a
 //!   truncated or concatenated line can never half-parse.
+//! - **Bounded nesting.** Arrays and objects nest at most [`MAX_DEPTH`]
+//!   deep; deeper input is a [`ParseError`], never a stack overflow.
 //! - Errors carry the byte offset where parsing stopped.
+
+/// Deepest array/object nesting `parse` accepts. Every document the
+/// workspace writes nests a handful of levels; the bound keeps the
+/// recursive descent far inside the smallest thread stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +118,7 @@ impl std::error::Error for ParseError {}
 /// Parse `input` as exactly one JSON value (leading/trailing whitespace
 /// allowed, anything else after the value is an error).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -124,6 +131,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -160,13 +169,20 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Value, ParseError> {
+        if matches!(self.peek(), Some(b'[' | b'{')) {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+            }
+            self.depth += 1;
+            let v = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+            self.depth -= 1;
+            return v;
+        }
         match self.peek() {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -407,6 +423,19 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("\"\\uD83D\"").is_err(), "unpaired surrogate");
         assert!(parse("01").is_err(), "leading zero");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let e = parse(&deep).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -30,17 +30,19 @@
 //!    attributes report/metrics deltas to phases, the critical path, and
 //!    registry counters (`DIFF0003`–`DIFF0005`).
 //!
-//! The parser ([`AuditEvent::parse_line`]) is strict — exact field order,
-//! nothing missing, nothing extra — so a parsed trace re-serializes
-//! byte-for-byte, and the round trip doubles as a test of the emitter.
-//! Everything is hand-rolled on top of [`json`]: the workspace carries no
-//! registry dependencies.
+//! There is one event schema, `obs`'s: every checker and fold here takes
+//! an [`obs::TraceEvent`] directly, whether it arrived live or was read
+//! back by the strict, allocation-free [`obs::TraceEvent::parse_line`]
+//! (exact field order, nothing missing, nothing extra, tags from fixed
+//! vocabularies — so a parsed trace re-serializes byte-for-byte).
+//! [`AuditEvent`] is kept as a name for that type. The report and
+//! artifact readers are hand-rolled on top of [`json`]: the workspace
+//! carries no registry dependencies.
 
 #![warn(missing_docs)]
 
 pub mod diag;
 pub mod diff;
-pub mod event;
 pub mod invariants;
 pub mod json;
 pub mod metrics;
@@ -50,9 +52,9 @@ pub mod trace;
 
 pub use diag::{DiagCode, Diagnostic, Severity, Violation};
 pub use diff::{diff_artifacts, diff_readers, ArtifactDiff, ArtifactDiffOptions, TraceDiffer};
-pub use event::{AuditEvent, DecisionFields, EventKind};
 pub use invariants::{check_all, StreamChecker};
 pub use metrics::AuditReport;
+pub use obs::{EventError, TraceEvent as AuditEvent};
 pub use registry::{Counter, ExactSum, Gauge, Histogram, Registry};
 pub use stream::{health_to_json, RunHealth, StreamAuditor, StreamOutcome};
 pub use trace::{Trace, TraceError};

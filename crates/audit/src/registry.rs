@@ -95,20 +95,29 @@ pub struct Registry {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// The entry for `name`, created on first use. The key is copied only
+/// then: the per-event lookups of a live audit allocate nothing.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 impl Registry {
     /// Named counter, created on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
+        slot(&mut self.counters, name)
     }
 
     /// Named gauge, created on first use.
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        self.gauges.entry(name.to_string()).or_default()
+        slot(&mut self.gauges, name)
     }
 
     /// Named histogram, created on first use.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
+        slot(&mut self.histograms, name)
     }
 
     /// Read a counter (0 when absent).

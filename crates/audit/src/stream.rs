@@ -28,12 +28,12 @@
 //! reproduces the batch result bit for bit — including float-addition
 //! order.
 
-use crate::event::{AuditEvent, EventError, EventKind};
 use crate::invariants::StreamChecker;
 use crate::metrics::{
     AuditReport, CriticalPath, LatencyStats, PartitionAttribution, PhaseAttribution, SyncStragglers,
 };
 use crate::registry::Registry;
+use obs::{Event, EventError, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -127,18 +127,18 @@ pub struct StreamAuditor {
     total_time_s: f64,
     total_energy_j: f64,
     /// Current interval's measured mean power, keyed (interval, node).
-    cur_samples: BTreeMap<(u64, u64), f64>,
+    cur_samples: BTreeMap<(u64, usize), f64>,
     /// Current interval's spans: (interval, node, kind, dur_s), record
     /// order. Spans outside any interval fold immediately instead.
-    cur_spans: Vec<(u64, u64, String, f64)>,
-    by_kind: BTreeMap<String, PhaseAttribution>,
+    cur_spans: Vec<(u64, usize, &'static str, f64)>,
+    by_kind: BTreeMap<&'static str, PhaseAttribution>,
     /// node -> partition tag (first seen).
-    roles: BTreeMap<u64, String>,
+    roles: BTreeMap<usize, &'static str>,
     /// node -> whole-run energy (last write).
-    node_energy: BTreeMap<u64, f64>,
+    node_energy: BTreeMap<usize, f64>,
     /// Pending per-interval rows awaiting their interval close.
     waits: BTreeMap<u64, (f64, f64)>,
-    slowest: BTreeMap<u64, (f64, u64)>,
+    slowest: BTreeMap<u64, (f64, usize)>,
     rendezvous: BTreeMap<u64, (f64, f64, f64)>,
     stragglers: Vec<SyncStragglers>,
     critical_path: CriticalPath,
@@ -162,7 +162,7 @@ impl StreamAuditor {
     /// Parse one JSONL trace line (strict, like the batch loader) and
     /// feed it. The caller decides whether a parse failure aborts.
     pub fn feed_line(&mut self, line: &str) -> Result<(), EventError> {
-        let ev = AuditEvent::parse_line(line)?;
+        let ev = TraceEvent::parse_line(line)?;
         self.feed(&ev);
         Ok(())
     }
@@ -180,7 +180,7 @@ impl StreamAuditor {
                 slack,
                 wait_total_s,
                 wait_max_s,
-                slowest_node: self.slowest.get(&sync).map(|&(_, n)| n),
+                slowest_node: self.slowest.get(&sync).map(|&(_, n)| n as u64),
             });
             if sim_t >= ana_t {
                 self.critical_path.sim_limited_s += sim_t;
@@ -199,8 +199,8 @@ impl StreamAuditor {
     fn fold_spans(&mut self) {
         let _t = obs::profile::timer("audit.fold_spans");
         for (interval, node, kind, dur) in self.cur_spans.drain(..) {
-            let a = self.by_kind.entry(kind.clone()).or_insert_with(|| PhaseAttribution {
-                kind,
+            let a = self.by_kind.entry(kind).or_insert_with(|| PhaseAttribution {
+                kind: kind.to_string(),
                 spans: 0,
                 time_s: 0.0,
                 energy_j: 0.0,
@@ -237,33 +237,34 @@ impl StreamAuditor {
     }
 
     /// Feed one event: invariants, metrics, attribution, health.
-    pub fn feed(&mut self, ev: &AuditEvent) {
+    pub fn feed(&mut self, ev: &TraceEvent) {
+        let t_ns = ev.t.as_nanos();
         self.checker.feed(ev);
         self.events += 1;
         self.registry.counter("events").inc();
-        if self.renorm_group.is_some() && !matches!(ev.kind, EventKind::EnvelopeRenorm { .. }) {
+        if self.renorm_group.is_some() && !matches!(ev.ev, Event::EnvelopeRenorm { .. }) {
             self.close_renorm_group();
         }
-        match &ev.kind {
-            EventKind::SyncStart { sync } => {
+        match &ev.ev {
+            Event::SyncStart { sync } => {
                 self.open = Some(*sync);
                 self.syncs += 1;
                 self.registry.counter("syncs").inc();
             }
-            EventKind::SyncEnd { sync, overhead_s } => {
+            Event::SyncEnd { sync, overhead_s } => {
                 self.open = None;
                 if overhead_s.is_finite() {
                     self.overhead_sum += *overhead_s;
                 }
                 self.fold_spans();
                 self.drain_rendezvous(*sync);
-                self.registry.gauge("jobs_running").set(ev.t_ns, self.jobs_running as f64);
-                self.snapshot(ev.t_ns, "sync", *sync);
+                self.registry.gauge("jobs_running").set(t_ns, self.jobs_running as f64);
+                self.snapshot(t_ns, "sync", *sync);
             }
-            EventKind::Phase { node, kind, start_ns, end_ns } => {
+            Event::Phase { node, kind, start_ns, end_ns } => {
                 let dur = end_ns.saturating_sub(*start_ns) as f64 / 1e9;
                 self.registry.histogram("phase_ns").observe(end_ns.saturating_sub(*start_ns));
-                let entry = (self.open.unwrap_or(0), *node, kind.clone(), dur);
+                let entry = (self.open.unwrap_or(0), *node, *kind, dur);
                 if self.open.is_some() {
                     self.cur_spans.push(entry);
                 } else {
@@ -271,10 +272,10 @@ impl StreamAuditor {
                     self.fold_spans();
                 }
             }
-            EventKind::Wait { node, start_ns, end_ns } => {
+            Event::Wait { node, start_ns, end_ns } => {
                 let dur = end_ns.saturating_sub(*start_ns) as f64 / 1e9;
                 self.registry.histogram("wait_ns").observe(end_ns.saturating_sub(*start_ns));
-                let entry = (self.open.unwrap_or(0), *node, "wait".to_string(), dur);
+                let entry = (self.open.unwrap_or(0), *node, "wait", dur);
                 if self.open.is_some() {
                     self.cur_spans.push(entry);
                 } else {
@@ -285,101 +286,97 @@ impl StreamAuditor {
                 w.0 += dur;
                 w.1 = w.1.max(dur);
             }
-            EventKind::Sample { node, role, power_w, .. } => {
+            Event::Sample { node, role, power_w, .. } => {
                 self.registry.counter("samples").inc();
                 if let Some(k) = self.open {
                     if power_w.is_finite() {
                         self.cur_samples.insert((k, *node), *power_w);
                     }
                 }
-                if !self.roles.contains_key(node) {
-                    self.roles.insert(*node, role.clone());
-                }
+                self.roles.entry(*node).or_insert(*role);
             }
-            EventKind::Arrival { sync, node, role, time_s } => {
-                if !self.roles.contains_key(node) {
-                    self.roles.insert(*node, role.clone());
-                }
+            Event::Arrival { sync, node, role, time_s } => {
+                self.roles.entry(*node).or_insert(*role);
                 let e = self.slowest.entry(*sync).or_insert((f64::NEG_INFINITY, 0));
                 if *time_s > e.0 {
                     *e = (*time_s, *node);
                 }
             }
-            EventKind::Rendezvous { sync, sim_time_s, analysis_time_s, slack } => {
+            Event::Rendezvous { sync, sim_time_s, analysis_time_s, slack } => {
                 self.rendezvous.insert(*sync, (*sim_time_s, *analysis_time_s, *slack));
             }
-            EventKind::NodeEnergy { node, energy_j } => {
+            Event::NodeEnergy { node, energy_j } => {
                 self.node_energy.insert(*node, *energy_j);
             }
-            EventKind::RunEnd { total_time_s: t, total_energy_j: e } => {
+            Event::RunEnd { total_time_s: t, total_energy_j: e } => {
                 self.total_time_s = *t;
                 self.total_energy_j = *e;
             }
-            EventKind::CapRequest { effective_ns, .. } => {
-                if *effective_ns > ev.t_ns {
+            Event::CapRequest { effective_ns, .. } => {
+                if *effective_ns > t_ns {
                     self.registry
                         .histogram("cap_actuation_latency_ns")
-                        .observe(effective_ns - ev.t_ns);
+                        .observe(effective_ns - t_ns);
                 } else {
                     self.registry.counter("cap_immediate").inc();
                 }
             }
-            EventKind::RunStart { budget_w, .. } => {
+            Event::RunStart { budget_w, .. } => {
                 self.budget_w = *budget_w;
-                self.registry.gauge("budget_w").set(ev.t_ns, *budget_w);
+                self.registry.gauge("budget_w").set(t_ns, *budget_w);
             }
-            EventKind::BudgetRenormalized { budget_w } => {
+            Event::BudgetRenormalized { budget_w } => {
                 self.budget_w = *budget_w;
-                self.registry.gauge("budget_w").set(ev.t_ns, *budget_w);
+                self.registry.gauge("budget_w").set(t_ns, *budget_w);
             }
-            EventKind::Decision(d) => {
+            Event::Decision(d) => {
                 let total =
                     d.sim_node_w * d.sim_nodes as f64 + d.analysis_node_w * d.analysis_nodes as f64;
                 self.allocated_w = total;
-                self.registry.gauge("allocated_w").set(ev.t_ns, total);
+                self.registry.gauge("allocated_w").set(t_ns, total);
             }
-            EventKind::Fault { .. } => self.registry.counter("faults").inc(),
-            EventKind::Recovery { .. } => self.registry.counter("recoveries").inc(),
-            EventKind::MachineStart { envelope_w, .. } => {
+            Event::Fault { .. } => self.registry.counter("faults").inc(),
+            Event::Recovery { .. } => self.registry.counter("recoveries").inc(),
+            Event::MachineStart { envelope_w, .. } => {
                 self.machines_up = 1;
                 self.budget_w = *envelope_w;
-                self.registry.gauge("budget_w").set(ev.t_ns, *envelope_w);
+                self.registry.gauge("budget_w").set(t_ns, *envelope_w);
             }
-            EventKind::MachineBudget { epoch, allocated_w, pool_w: _ } => {
+            Event::MachineBudget { epoch, allocated_w, pool_w: _ } => {
                 self.allocated_w = *allocated_w;
-                self.registry.gauge("allocated_w").set(ev.t_ns, *allocated_w);
-                self.registry.gauge("jobs_running").set(ev.t_ns, self.jobs_running as f64);
-                self.snapshot(ev.t_ns, "epoch", *epoch);
+                self.registry.gauge("allocated_w").set(t_ns, *allocated_w);
+                self.registry.gauge("jobs_running").set(t_ns, self.jobs_running as f64);
+                self.snapshot(t_ns, "epoch", *epoch);
             }
-            EventKind::JobStarted { .. } | EventKind::JobDispatched { .. } => {
+            Event::JobStarted { .. } | Event::JobDispatched { .. } => {
                 self.jobs_running += 1;
             }
-            EventKind::JobCompleted { .. }
-            | EventKind::JobKilled { .. }
-            | EventKind::JobRetry { .. }
-            | EventKind::JobFailed { .. } => {
+            Event::JobCompleted { .. }
+            | Event::JobKilled { .. }
+            | Event::JobRetry { .. }
+            | Event::JobFailed { .. } => {
                 self.jobs_running = self.jobs_running.saturating_sub(1);
             }
-            EventKind::FleetStart { machines, envelope_w, .. } => {
-                self.machines_up = *machines;
+            Event::FleetStart { machines, envelope_w, .. } => {
+                self.machines_up = *machines as u64;
                 self.budget_w = *envelope_w;
-                self.registry.gauge("budget_w").set(ev.t_ns, *envelope_w);
+                self.registry.gauge("budget_w").set(t_ns, *envelope_w);
             }
-            EventKind::MachineDown { .. } => {
+            Event::MachineDown { .. } => {
                 self.machines_up = self.machines_up.saturating_sub(1);
             }
-            EventKind::MachineUp { .. } => self.machines_up += 1,
-            EventKind::EnvelopeRenorm { epoch, share_w, .. } => {
+            Event::MachineUp { .. } => self.machines_up += 1,
+            Event::EnvelopeRenorm { epoch, share_w, .. } => {
                 match &mut self.renorm_group {
                     Some((e, sum, t)) if *e == *epoch => {
                         *sum += share_w;
-                        *t = ev.t_ns;
+                        *t = t_ns;
                     }
                     _ => {
                         // Epoch change: the is_some guard above only fires
                         // for non-renorm events, so close here.
                         self.close_renorm_group();
-                        self.renorm_group = Some((*epoch, *share_w, ev.t_ns));
+                        self.renorm_group = Some((*epoch, *share_w, t_ns));
                     }
                 }
             }
@@ -410,10 +407,10 @@ impl StreamAuditor {
             _ => LatencyStats { immediate, ..LatencyStats::default() },
         };
 
-        let mut partitions: BTreeMap<String, PartitionAttribution> = BTreeMap::new();
-        for (node, role) in &self.roles {
-            let p = partitions.entry(role.clone()).or_insert_with(|| PartitionAttribution {
-                role: role.clone(),
+        let mut partitions: BTreeMap<&str, PartitionAttribution> = BTreeMap::new();
+        for (node, &role) in &self.roles {
+            let p = partitions.entry(role).or_insert_with(|| PartitionAttribution {
+                role: role.to_string(),
                 nodes: 0,
                 energy_j: 0.0,
             });
@@ -438,8 +435,9 @@ impl StreamAuditor {
 }
 
 impl obs::EventSubscriber for StreamAuditor {
-    fn on_event(&mut self, ev: &obs::TraceEvent) {
-        self.feed(&AuditEvent::from_obs(ev));
+    fn on_event(&mut self, ev: &TraceEvent) {
+        // Agree with a file replay, where non-finite floats read back NaN.
+        self.feed(&ev.normalized());
     }
 }
 
@@ -450,8 +448,8 @@ mod tests {
 
     fn sample_lines() -> Vec<String> {
         let trace = {
-            use crate::event::EventKind as K;
-            let ev = |t_ns, kind| AuditEvent { t_ns, kind };
+            use obs::Event as K;
+            let ev = |t_ns, ev| TraceEvent { t: des::SimTime::from_nanos(t_ns), ev };
             Trace {
                 events: vec![
                     ev(
@@ -466,13 +464,13 @@ mod tests {
                         },
                     ),
                     ev(0, K::SyncStart { sync: 1 }),
-                    ev(0, K::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 5_000 }),
+                    ev(0, K::Phase { node: 0, kind: "force", start_ns: 0, end_ns: 5_000 }),
                     ev(5_000, K::Wait { node: 0, start_ns: 5_000, end_ns: 8_000 }),
                     ev(
                         8_000,
                         K::Sample {
                             node: 0,
-                            role: "sim".into(),
+                            role: "sim",
                             time_s: 1.0,
                             power_w: 110.0,
                             cap_w: 115.0,

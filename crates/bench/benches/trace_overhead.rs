@@ -15,7 +15,7 @@
 //! Results land in `results/BENCH_trace.json` in the unified
 //! [`bench::gate`] schema, and the benchmark **exits nonzero** when
 //! tracing-on overhead breaches the 75 % ceiling or streaming-audit
-//! overhead breaches its 900 % ceiling — `bench_gate` then re-checks the
+//! overhead breaches its 431 % ceiling — `bench_gate` then re-checks the
 //! same bounds (plus drift vs. the committed baseline) from the
 //! persisted document. The ceilings are host-calibrated worst cases: the
 //! micro-job is nearly pure event emission, so the ratios here are far
@@ -45,8 +45,9 @@ const OVERHEAD_MAX_PCT: f64 = 75.0;
 /// (~10 checkers + report aggregation per event), so its budget is far
 /// looser than bare tracing's but still bounded — this micro-job is
 /// nearly pure event emission, making the ratio a worst case (measured
-/// ≈550 % on the reference host; the ceiling leaves ~60 % headroom).
-const AUDIT_OVERHEAD_MAX_PCT: f64 = 900.0;
+/// 228–287 % over five full-profile runs on the reference host, a
+/// 2-core x86-64 box; the ceiling is the worst run × 1.5).
+const AUDIT_OVERHEAD_MAX_PCT: f64 = 431.0;
 
 fn cfg(nodes: usize, steps: u64) -> JobConfig {
     let mut spec = WorkloadSpec::paper(16, nodes, 1, &[K::Rdf, K::Vacf]);

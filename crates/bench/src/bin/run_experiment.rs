@@ -148,7 +148,7 @@ fn main() {
             }
         };
         let imp = improvement_pct(base.total_time_s, ctl.total_time_s);
-        print_summary(&rep, &ctl);
+        print_summary(&rep, &ctl, &tracer);
         rep.say(format!(
             "baseline (static): {:.1} s  →  improvement {:+.2} %",
             base.total_time_s, imp
@@ -164,7 +164,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        print_summary(&rep, &r);
+        print_summary(&rep, &r, &tracer);
         if dump_syncs {
             println!("{}", bench::json::ToJson::to_json(&r.syncs).pretty());
         }
@@ -173,7 +173,7 @@ fn main() {
     cli::finish_session(BIN, &common, &rep, session);
 }
 
-fn print_summary(rep: &Reporter, r: &RunResult) {
+fn print_summary(rep: &Reporter, r: &RunResult, tracer: &obs::Tracer) {
     let last = r.syncs.last().expect("at least one sync");
     rep.say(format!(
         "{}: total {:.1} s, energy {:.2} MJ, {} syncs, end caps S/A {:.1}/{:.1} W, late slack {:.1} %",
@@ -185,13 +185,9 @@ fn print_summary(rep: &Reporter, r: &RunResult) {
         last.analysis_cap_w,
         r.mean_slack_from(10) * 100.0
     ));
-    if let Some(m) = &r.metrics {
-        rep.note(format!(
-            "trace: {} events, {} phases, {} samples, {} decisions",
-            m.events,
-            m.counter("phases"),
-            m.counter("samples"),
-            m.counter("decisions")
-        ));
+    // A streaming (audit-only) tracer keeps no events; the audit summary
+    // reports its counts.
+    if tracer.is_buffering() {
+        rep.note(format!("trace: {} events", tracer.len()));
     }
 }

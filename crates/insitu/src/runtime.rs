@@ -623,7 +623,6 @@ impl Runtime {
             }
             self.tracer.emit(obs::Event::RunEnd { total_time_s, total_energy_j });
         }
-        let metrics = if self.tracer.is_enabled() { Some(self.tracer.metrics()) } else { None };
         RunResult {
             controller: self.cfg.controller.clone(),
             total_time_s,
@@ -633,7 +632,6 @@ impl Runtime {
             analysis_trace,
             fault_events: self.fault_log,
             recovery_events: self.recovery_log,
-            metrics,
         }
     }
 

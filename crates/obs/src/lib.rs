@@ -18,15 +18,17 @@
 //! - [`EventSubscriber`] — the subscriber seam: consumers attached via
 //!   [`Tracer::attach`] see every event in deterministic sim-time record
 //!   order without the trace ever being collected into a `Vec`.
-//! - [`Event`] / [`TraceEvent`] — the typed schema covering runtime sync
-//!   epochs, node phase/wait spans, RAPL cap actuation, power-manager
-//!   measurement and exchange, SeeSAw decision internals, and fault
-//!   injection/recovery.
+//! - [`Event`] / [`TraceEvent`] — the one typed schema of the workspace,
+//!   covering runtime sync epochs, node phase/wait spans, RAPL cap
+//!   actuation, power-manager measurement and exchange, SeeSAw decision
+//!   internals, machine scheduling, fleet federation, and fault
+//!   injection/recovery — with its codec: [`TraceEvent::write_json`] and
+//!   the strict, allocation-free [`TraceEvent::parse_line`], both driven
+//!   by one field table. String fields resolve through the fixed
+//!   [`vocab`] lists.
 //! - [`to_jsonl`] / [`chrome_trace`] — exporters: a JSONL event log and a
 //!   Chrome-trace (Perfetto) timeline with per-node cap/power counter
 //!   tracks and phase activity lanes.
-//! - [`RunMetrics`] — the end-of-run counter/series summary embedded in
-//!   `insitu::RunResult` for traced runs.
 //! - [`Reporter`] — the quiet-aware progress printer the experiment bins
 //!   share instead of ad-hoc `println!` lines.
 //!
@@ -41,9 +43,10 @@ mod perfetto;
 pub mod profile;
 mod report;
 mod sink;
+pub mod vocab;
 
-pub use event::{to_jsonl, DecisionInfo, Event, TraceEvent};
+pub use event::{to_jsonl, DecisionInfo, Event, EventError, TraceEvent};
 pub use hist::{ExactSum, Histogram, HISTOGRAM_BUCKETS};
 pub use perfetto::chrome_trace;
 pub use report::Reporter;
-pub use sink::{EventSubscriber, RunMetrics, StatSummary, Tracer};
+pub use sink::{EventSubscriber, Tracer};

@@ -59,7 +59,8 @@ adiff() {
 }
 
 echo "==> determinism: fault_sweep twice, byte-identical JSON"
-SEESAW_RESULTS_DIR="$a" ./target/release/fault_sweep --quick --audit >/dev/null
+SEESAW_RESULTS_DIR="$a" SEESAW_TRACE="$c/f1.jsonl" ./target/release/fault_sweep --quick --audit \
+    >/dev/null
 SEESAW_RESULTS_DIR="$b" ./target/release/fault_sweep --quick >/dev/null
 adiff "$a/fault_sweep.json" "$b/fault_sweep.json"
 
@@ -167,14 +168,19 @@ echo "==> trace audit: invariant battery over the serialized trace"
 # the batch path (whole file -> Vec -> battery) and the streaming path
 # (line by line, constant memory) — and the streamed file replay must
 # reproduce the *live* in-process audit the bins just wrote, snapshots
-# and registry included.
+# and registry included. The fault_sweep trace carries fault and recovery
+# events, so every fault and recovery tag crosses the parser's vocabulary
+# resolution here.
 echo "==> streaming audit equivalence: batch vs --stream vs live, byte-identical"
 mkdir -p "$c/batch" "$c/stream"
+test -s "$c/f1.jsonl"
+grep -q '"ev":"fault"' "$c/f1.jsonl"
+grep -q '"ev":"recovery"' "$c/f1.jsonl"
 ./target/release/audit_trace --quiet --json "$c/batch" \
-    "$c/m1.jsonl" "$c/fleet1.jsonl" "$c/t1.jsonl"
+    "$c/m1.jsonl" "$c/fleet1.jsonl" "$c/t1.jsonl" "$c/f1.jsonl"
 ./target/release/audit_trace --stream --quiet --json "$c/stream" \
-    "$c/m1.jsonl" "$c/fleet1.jsonl" "$c/t1.jsonl"
-for stem in m1 fleet1 t1; do
+    "$c/m1.jsonl" "$c/fleet1.jsonl" "$c/t1.jsonl" "$c/f1.jsonl"
+for stem in m1 fleet1 t1 f1; do
     adiff "$c/batch/audit_$stem.json" "$c/stream/audit_$stem.json"
 done
 adiff "$c/stream/audit_m1.json" "$a/audit_machine_sweep.json"
@@ -186,6 +192,9 @@ adiff "$c/stream/metrics_fleet1.json" "$a/metrics_fleet_sweep.json"
 adiff "$c/stream/audit_t1.json" "$a/audit_run_experiment.json"
 adiff "$c/stream/health_t1.json" "$a/health_run_experiment.json"
 adiff "$c/stream/metrics_t1.json" "$a/metrics_run_experiment.json"
+adiff "$c/stream/audit_f1.json" "$a/audit_fault_sweep.json"
+adiff "$c/stream/health_f1.json" "$a/health_fault_sweep.json"
+adiff "$c/stream/metrics_f1.json" "$a/metrics_fault_sweep.json"
 adiff "$a/audit_fleet_sweep.json" results/audit_fleet_sweep.json
 adiff "$a/health_fleet_sweep.json" results/health_fleet_sweep.json
 adiff "$a/metrics_fleet_sweep.json" results/metrics_fleet_sweep.json
@@ -209,7 +218,7 @@ echo "==> kernel perf gate: md_kernels ns/pair ceilings + T1 speedup floor + all
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench md_kernels -- --quick
 test -s "$c/BENCH_kernels.json"
 
-echo "==> tracing overhead record: trace_overhead off/on/export/audit bench (on <75%, streaming audit <900%)"
+echo "==> tracing overhead record: trace_overhead off/on/export/audit bench (on <75%, streaming audit <431%)"
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench trace_overhead -- --quick
 test -s "$c/BENCH_trace.json"
 

@@ -5,19 +5,21 @@
 //! `POLIMER_THREADS` settings — the same contract PR 1/PR 2 established
 //! for results. These tests also gate the zero-behavioural-footprint
 //! property (tracing on/off never changes what the run computes) and the
-//! exporters' well-formedness, validated by the `audit` crate's strict
-//! parser: every line must round-trip **byte-for-byte** through
-//! [`audit::AuditEvent`], and the Chrome-trace document must parse under
-//! [`audit::json`] with monotone timestamps.
+//! exporters' well-formedness: every line must round-trip
+//! **byte-for-byte** through the strict [`obs::TraceEvent::parse_line`],
+//! every tag the stack emits must resolve through [`obs::vocab`], and the
+//! Chrome-trace document must parse under [`audit::json`] with monotone
+//! timestamps.
 
-use audit::{AuditEvent, Trace};
+use audit::{StreamAuditor, Trace};
 use insitu::{
     run_job, run_job_traced, run_paired, run_paired_traced, FaultEvent, FaultKind, FaultPlan,
-    JobConfig,
+    JobConfig, RecoveryKind,
 };
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
-use obs::{chrome_trace, DecisionInfo, Event, TraceEvent, Tracer};
+use obs::{chrome_trace, vocab, DecisionInfo, Event, TraceEvent, Tracer};
+use std::sync::{Arc, Mutex};
 
 fn quick_cfg(controller: &str) -> JobConfig {
     let mut spec = WorkloadSpec::paper(16, 8, 1, &[AnalysisKind::Vacf]);
@@ -77,18 +79,23 @@ fn tracing_has_zero_behavioural_footprint() {
 }
 
 #[test]
-fn traced_run_embeds_metrics_summary() {
-    let tracer = Tracer::enabled();
+fn traced_run_summary_comes_from_the_audit_registry() {
+    // The one metrics fold is the audit registry, fed live from the
+    // tracer's subscriber seam; the run result carries no summary.
+    let auditor = Arc::new(Mutex::new(StreamAuditor::new()));
+    let tracer = Tracer::streaming();
+    tracer.attach(Box::new(Arc::clone(&auditor)));
     let r = run_job_traced(quick_cfg("seesaw"), &tracer).expect("known controller");
-    let m = r.metrics.expect("traced run embeds metrics");
-    assert_eq!(m.counter("syncs"), r.syncs.len() as u64);
-    assert!(m.counter("phases") > 0, "phase spans recorded");
-    assert!(m.counter("samples") > 0, "power samples recorded");
-    assert!(m.counter("decisions") > 0, "seesaw made decisions");
-    assert!(m.events >= m.counter("phases"), "{m:?}");
-    assert!(m.stat("wait_s").is_some(), "wait histogram recorded");
-    // Untraced runs carry no metrics.
-    assert!(run_job(quick_cfg("seesaw")).expect("known controller").metrics.is_none());
+    drop(tracer);
+    let out = Arc::try_unwrap(auditor).expect("sole owner").into_inner().unwrap().finish();
+    let reg = &out.registry;
+    assert_eq!(reg.counter_value("syncs"), r.syncs.len() as u64);
+    assert!(reg.counter_value("samples") > 0, "power samples recorded");
+    assert!(reg.get_histogram("phase_ns").is_some_and(|h| h.count > 0), "phase spans recorded");
+    assert!(reg.get_histogram("wait_ns").is_some(), "wait histogram recorded");
+    assert!(reg.counter_value("events") > reg.counter_value("samples"));
+    assert_eq!(out.report.events, reg.counter_value("events"));
+    assert!(out.report.clean(), "{:?}", out.report.violations);
 }
 
 #[test]
@@ -155,6 +162,20 @@ fn one_of_each() -> Vec<TraceEvent> {
         Event::JobCompleted { job: 0, time_s: 52.5 },
         Event::JobKilled { job: 1 },
         Event::MachineBudget { epoch: 3, allocated_w: 7500.0, pool_w: 500.0 },
+        Event::FleetStart {
+            machines: 3,
+            envelope_w: 2100.0,
+            retry_base_epochs: 1,
+            retry_cap_epochs: 8,
+            max_retries: 3,
+        },
+        Event::MachineDown { machine: 1, epoch: 4 },
+        Event::MachineUp { machine: 1, epoch: 9 },
+        Event::JobDispatched { job: 2, machine: 0 },
+        Event::JobRetry { job: 2, attempt: 1, backoff_epochs: 1 },
+        Event::JobMigrated { job: 2, from_machine: 1, to_machine: 0 },
+        Event::JobFailed { job: 5, attempts: 4 },
+        Event::EnvelopeRenorm { epoch: 4, machine: 0, share_w: 1050.5, cap_w: 1100.0 },
         Event::Fault { sync: 0, node: 1, tag: "node_crash" },
         Event::Recovery { sync: 0, node: 1, tag: "budget_renormalized" },
     ];
@@ -167,12 +188,16 @@ fn one_of_each() -> Vec<TraceEvent> {
 #[test]
 fn every_event_variant_round_trips_byte_for_byte() {
     let all = one_of_each();
-    assert_eq!(all.len(), 28, "one_of_each must cover every obs::Event variant");
+    let mut tags: Vec<&str> = all.iter().map(|te| te.ev.tag()).collect();
+    tags.sort_unstable();
+    let mut want = Event::TAGS.to_vec();
+    want.sort_unstable();
+    assert_eq!(tags, want, "one_of_each must cover every obs::Event variant once");
     for te in all {
         let line = te.to_json_line();
-        let parsed = AuditEvent::parse_line(&line)
-            .unwrap_or_else(|e| panic!("audit parser rejected {line}: {e}"));
-        assert_eq!(parsed.t_ns, te.t.as_nanos(), "timestamp drifted: {line}");
+        let parsed =
+            TraceEvent::parse_line(&line).unwrap_or_else(|e| panic!("parser rejected {line}: {e}"));
+        assert_eq!(parsed.t, te.t, "timestamp drifted: {line}");
         assert_eq!(parsed.to_json_line(), line, "round trip not byte-identical");
         assert!(line.contains(&format!("\"ev\":\"{}\"", te.ev.tag())), "tag missing: {line}");
         assert!(line.starts_with(&format!("{{\"t\":{}", te.t.as_nanos())), "t missing: {line}");
@@ -183,14 +208,90 @@ fn every_event_variant_round_trips_byte_for_byte() {
 fn audit_parser_rejects_schema_drift() {
     // The parser is strict: reordered, missing, or extra fields — the
     // classic silent-schema-drift failure modes — are all errors.
-    assert!(AuditEvent::parse_line(r#"{"t":0,"ev":"sync_start","sync":1}"#).is_ok());
-    assert!(AuditEvent::parse_line(r#"{"ev":"sync_start","t":0,"sync":1}"#).is_err(), "reordered");
-    assert!(AuditEvent::parse_line(r#"{"t":0,"ev":"sync_start"}"#).is_err(), "missing field");
+    assert!(TraceEvent::parse_line(r#"{"t":0,"ev":"sync_start","sync":1}"#).is_ok());
+    assert!(TraceEvent::parse_line(r#"{"ev":"sync_start","t":0,"sync":1}"#).is_err(), "reordered");
+    assert!(TraceEvent::parse_line(r#"{"t":0,"ev":"sync_start"}"#).is_err(), "missing field");
     assert!(
-        AuditEvent::parse_line(r#"{"t":0,"ev":"sync_start","sync":1,"x":2}"#).is_err(),
+        TraceEvent::parse_line(r#"{"t":0,"ev":"sync_start","sync":1,"x":2}"#).is_err(),
         "extra field"
     );
-    assert!(AuditEvent::parse_line(r#"{"t":0,"ev":"no_such_event"}"#).is_err(), "unknown tag");
+    assert!(TraceEvent::parse_line(r#"{"t":0,"ev":"no_such_event"}"#).is_err(), "unknown tag");
+}
+
+#[test]
+fn every_emitted_tag_resolves_through_the_obs_vocabulary() {
+    // Exhaustive matches: a new variant fails to compile here until it
+    // is listed below (and in `obs::vocab`).
+    let fault = |k: FaultKind| match k {
+        FaultKind::NodeCrash
+        | FaultKind::Straggler { .. }
+        | FaultKind::RaplStuck
+        | FaultKind::RaplDelayed { .. }
+        | FaultKind::RaplWriteError
+        | FaultKind::SampleNan
+        | FaultKind::SampleSpike { .. }
+        | FaultKind::SampleDropout
+        | FaultKind::MonitorDeath
+        | FaultKind::MessageLoss
+        | FaultKind::CollectiveTimeout { .. } => k.tag(),
+    };
+    let faults = [
+        FaultKind::NodeCrash,
+        FaultKind::Straggler { factor: 3.0 },
+        FaultKind::RaplStuck,
+        FaultKind::RaplDelayed { extra_s: 0.5 },
+        FaultKind::RaplWriteError,
+        FaultKind::SampleNan,
+        FaultKind::SampleSpike { factor: 50.0 },
+        FaultKind::SampleDropout,
+        FaultKind::MonitorDeath,
+        FaultKind::MessageLoss,
+        FaultKind::CollectiveTimeout { failures: 2 },
+    ];
+    let recovery = |k: RecoveryKind| match k {
+        RecoveryKind::MonitorReelected
+        | RecoveryKind::NodeExcluded
+        | RecoveryKind::BudgetRenormalized
+        | RecoveryKind::SampleRejected
+        | RecoveryKind::AllocationHeld
+        | RecoveryKind::CapWriteRetried
+        | RecoveryKind::CollectiveRetried => k.tag(),
+    };
+    let recoveries = [
+        RecoveryKind::MonitorReelected,
+        RecoveryKind::NodeExcluded,
+        RecoveryKind::BudgetRenormalized,
+        RecoveryKind::SampleRejected,
+        RecoveryKind::AllocationHeld,
+        RecoveryKind::CapWriteRetried,
+        RecoveryKind::CollectiveRetried,
+    ];
+    let mut phases: Vec<theta_sim::PhaseKind> = theta_sim::PhaseKind::all_productive().to_vec();
+    phases.push(theta_sim::PhaseKind::Wait);
+    let roles = [seesaw::Role::Simulation, seesaw::Role::Analysis];
+    let cases: [(&str, Vec<&str>, &'static [&'static str]); 5] = [
+        ("phase kind", phases.iter().map(|k| k.tag()).collect(), vocab::PHASE_KINDS),
+        ("fault tag", faults.map(fault).to_vec(), vocab::FAULT_TAGS),
+        ("recovery tag", recoveries.map(recovery).to_vec(), vocab::RECOVERY_TAGS),
+        ("role", roles.map(|r| r.tag()).to_vec(), vocab::ROLES),
+        ("hold reason", vec!["corrupt_sample", "degenerate_feedback"], vocab::HOLD_REASONS),
+    ];
+    for (what, tags, words) in cases {
+        for tag in &tags {
+            assert_eq!(vocab::resolve(words, tag), Some(*tag), "{what} {tag:?} not in obs::vocab");
+        }
+        assert_eq!(tags.len(), words.len(), "obs::vocab lists a {what} nothing emits");
+        assert_eq!(vocab::resolve(words, "no_such_tag"), None);
+    }
+    // Through the parser: a vocabulary word parses, anything else is
+    // refused like an unknown field.
+    let line =
+        |tag: &str| format!("{{\"t\":0,\"ev\":\"fault\",\"sync\":1,\"node\":0,\"tag\":\"{tag}\"}}");
+    for k in faults {
+        assert!(TraceEvent::parse_line(&line(k.tag())).is_ok(), "{}", k.tag());
+    }
+    assert!(TraceEvent::parse_line(&line("no_such_tag")).is_err());
+    assert!(TraceEvent::parse_line(&line("node_excluded")).is_err(), "a recovery tag is no fault");
 }
 
 /// Pull every `"ts":<number>` out of a Chrome-trace document, in order.
