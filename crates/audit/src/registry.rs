@@ -26,8 +26,8 @@
 //! them; they are re-exported here so `audit::{ExactSum, Histogram}`
 //! keeps working.
 
+use obs::json::{ToJson, Value};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 pub use obs::hist::{ExactSum, Histogram, HISTOGRAM_BUCKETS};
 
@@ -157,50 +157,31 @@ impl Registry {
     /// carry bucket-exact p50/p95/p99 (nearest-rank over the fixed log₂
     /// buckets, clamped into the observed range — deterministic).
     pub fn to_json(&self) -> String {
-        fn jf(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{");
-        let _ = write!(out, "\"schema_version\":{METRICS_SCHEMA_VERSION},\"counters\":{{");
-        for (i, (name, c)) in self.counters.iter().enumerate() {
-            let _ = write!(out, "{}\"{name}\":{}", if i > 0 { "," } else { "" }, c.0);
-        }
-        let _ = write!(out, "}},\"gauges\":{{");
-        for (i, (name, g)) in self.gauges.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{name}\":{{\"t_ns\":{},\"value\":{}}}",
-                if i > 0 { "," } else { "" },
-                g.t_ns,
-                jf(g.value)
-            );
-        }
-        let _ = write!(out, "}},\"histograms\":{{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{name}\":{{\"count\":{},\"min_ns\":{},\"max_ns\":{},\"sum_ns\":{},\
-                 \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"buckets\":[",
-                if i > 0 { "," } else { "" },
-                h.count,
-                if h.count == 0 { 0 } else { h.min_ns },
-                h.max_ns,
-                jf(h.sum_ns()),
-                h.quantile_ns(0.50),
-                h.quantile_ns(0.95),
-                h.quantile_ns(0.99),
-            );
-            for (j, (low, c)) in h.nonzero_buckets().into_iter().enumerate() {
-                let _ = write!(out, "{}[{low},{c}]", if j > 0 { "," } else { "" });
-            }
-            let _ = write!(out, "]}}");
-        }
-        out.push_str("}}");
-        out
+        let counters = self.counters.iter().map(|(name, c)| (name.clone(), c.0.to_json()));
+        let gauges = self.gauges.iter().map(|(name, g)| {
+            (name.clone(), Value::obj([("t_ns", g.t_ns.to_json()), ("value", g.value.to_json())]))
+        });
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets = h.nonzero_buckets().into_iter().map(|(low, c)| vec![low, c].to_json());
+            let summary = Value::obj([
+                ("count", h.count.to_json()),
+                ("min_ns", if h.count == 0 { 0 } else { h.min_ns }.to_json()),
+                ("max_ns", h.max_ns.to_json()),
+                ("sum_ns", h.sum_ns().to_json()),
+                ("p50_ns", h.quantile_ns(0.50).to_json()),
+                ("p95_ns", h.quantile_ns(0.95).to_json()),
+                ("p99_ns", h.quantile_ns(0.99).to_json()),
+                ("buckets", Value::Arr(buckets.collect())),
+            ]);
+            (name.clone(), summary)
+        });
+        Value::obj([
+            ("schema_version", METRICS_SCHEMA_VERSION.to_json()),
+            ("counters", Value::Obj(counters.collect())),
+            ("gauges", Value::Obj(gauges.collect())),
+            ("histograms", Value::Obj(histograms.collect())),
+        ])
+        .compact()
     }
 }
 

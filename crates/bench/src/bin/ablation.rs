@@ -23,7 +23,7 @@ struct Row {
     variant: String,
     improvement_pct: f64,
 }
-bench::json_struct!(Row { study, variant, improvement_pct });
+obs::json_struct!(Row { study, variant, improvement_pct });
 
 fn spec(dim: u32, nodes: usize, kinds: &[K]) -> WorkloadSpec {
     let mut s = WorkloadSpec::paper(dim, nodes, 1, kinds);

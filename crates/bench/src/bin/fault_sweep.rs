@@ -26,7 +26,7 @@ struct Row {
     static_time_s: f64,
     improvement_pct: f64,
 }
-bench::json_struct!(Row {
+obs::json_struct!(Row {
     intensity,
     faults_injected,
     recoveries,

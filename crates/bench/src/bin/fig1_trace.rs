@@ -15,7 +15,7 @@ struct Sample {
     sim_w_per_node: f64,
     analysis_w_per_node: f64,
 }
-bench::json_struct!(Sample { t_s, sim_w_per_node, analysis_w_per_node });
+obs::json_struct!(Sample { t_s, sim_w_per_node, analysis_w_per_node });
 
 fn main() {
     let args = cli::CommonArgs::parse("fig1_trace");

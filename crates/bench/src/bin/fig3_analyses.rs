@@ -18,7 +18,7 @@ struct Row {
     controller: &'static str,
     improvement_pct: f64,
 }
-bench::json_struct!(Row { panel, workload, nodes, dim, controller, improvement_pct });
+obs::json_struct!(Row { panel, workload, nodes, dim, controller, improvement_pct });
 
 const CONTROLLERS: [&str; 3] = ["seesaw", "time-aware", "power-aware"];
 

@@ -17,7 +17,7 @@ struct AllocPoint {
     analysis_power_w: f64,
     slack: f64,
 }
-bench::json_struct!(AllocPoint {
+obs::json_struct!(AllocPoint {
     controller,
     sync,
     sim_cap_w,
@@ -34,7 +34,7 @@ struct BaselinePoint {
     sim_power_w: f64,
     analysis_power_w: f64,
 }
-bench::json_struct!(BaselinePoint {
+obs::json_struct!(BaselinePoint {
     sync,
     sim_time_s,
     analysis_time_s,

@@ -21,7 +21,7 @@ struct Point {
     analysis_measured_w: f64,
     slack: f64,
 }
-bench::json_struct!(Point {
+obs::json_struct!(Point {
     nodes,
     controller,
     sync,

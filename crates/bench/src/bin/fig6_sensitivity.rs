@@ -15,7 +15,7 @@ struct Row {
     w: usize,
     improvement_pct: f64,
 }
-bench::json_struct!(Row { j, w, improvement_pct });
+obs::json_struct!(Row { j, w, improvement_pct });
 
 fn main() {
     let args = cli::CommonArgs::parse("fig6_sensitivity");

@@ -14,7 +14,7 @@ struct Row {
     analysis0_w: f64,
     improvement_pct: f64,
 }
-bench::json_struct!(Row { case, sim0_w, analysis0_w, improvement_pct });
+obs::json_struct!(Row { case, sim0_w, analysis0_w, improvement_pct });
 
 fn main() {
     let args = cli::CommonArgs::parse("fig7_initial_power");

@@ -11,7 +11,7 @@ struct Row {
     budget_per_node_w: f64,
     improvement_pct: f64,
 }
-bench::json_struct!(Row { budget_per_node_w, improvement_pct });
+obs::json_struct!(Row { budget_per_node_w, improvement_pct });
 
 fn main() {
     let args = cli::CommonArgs::parse("fig8_power_caps");

@@ -18,7 +18,7 @@ struct OverheadRow {
     mean_interval_s: f64,
     overhead_pct: f64,
 }
-bench::json_struct!(OverheadRow { nodes, mean_overhead_ms, mean_interval_s, overhead_pct });
+obs::json_struct!(OverheadRow { nodes, mean_overhead_ms, mean_interval_s, overhead_pct });
 
 fn main() {
     let args = cli::CommonArgs::parse("fig9_overhead");

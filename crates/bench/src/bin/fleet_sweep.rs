@@ -49,7 +49,7 @@ struct Row {
     mean_recovery_epochs: f64,
     total_energy_j: f64,
 }
-bench::json_struct!(Row {
+obs::json_struct!(Row {
     storm,
     machines,
     policy,

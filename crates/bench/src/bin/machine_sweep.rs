@@ -36,7 +36,7 @@ struct Row {
     mean_completion_s: f64,
     total_energy_j: f64,
 }
-bench::json_struct!(Row {
+obs::json_struct!(Row {
     scenario,
     policy,
     jobs,

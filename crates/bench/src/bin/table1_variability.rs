@@ -16,7 +16,7 @@ struct Row {
     variability_type: &'static str,
     variability_pct: f64,
 }
-bench::json_struct!(Row { cap, dim, variability_type, variability_pct });
+obs::json_struct!(Row { cap, dim, variability_type, variability_pct });
 
 fn runtime(dim: u32, cap_mode: CapMode, job: u64, run: u64, steps: u64) -> f64 {
     let mut spec = WorkloadSpec::paper(dim, 128, 1, &[AnalysisKind::Rdf, AnalysisKind::Vacf]);

@@ -13,7 +13,7 @@ struct Row {
     j: u64,
     improvement_pct: f64,
 }
-bench::json_struct!(Row { varied, j, improvement_pct });
+obs::json_struct!(Row { varied, j, improvement_pct });
 
 fn run_case(varied: &'static str, j: u64) -> f64 {
     let mut spec = WorkloadSpec::paper(16, 128, 1, &[]);

@@ -39,9 +39,8 @@
 //! an ordinary bound failure at a glance.
 
 use audit::diag;
-use audit::json::{self, Value};
 use audit::Diagnostic;
-use std::fmt::Write as _;
+use obs::json::{self, ToJson, Value};
 
 /// One benchmark metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +60,8 @@ pub struct Metric {
     /// checking.
     pub tolerance_pct: Option<f64>,
 }
+
+obs::json_struct!(Metric { name, value, unit, min, max, tolerance_pct });
 
 impl Metric {
     /// An informational metric: recorded and drift-visible in diffs, but
@@ -97,54 +98,46 @@ impl BenchDoc {
     /// Parse a persisted document.
     pub fn parse(input: &str) -> Result<BenchDoc, String> {
         let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let bench = req_str(&v, "bench")?;
-        let profile = req_str(&v, "profile")?;
-        let metrics_v = v.get("metrics").ok_or("missing \"metrics\"")?;
-        let rows = metrics_v.as_arr().ok_or("\"metrics\" is not an array")?;
-        let mut metrics = Vec::with_capacity(rows.len());
-        for row in rows {
-            let name = req_str(row, "name")?;
-            let value = req_f64(row, "value")?;
-            let unit = req_str(row, "unit")?;
-            metrics.push(Metric {
-                name,
-                value,
-                unit,
-                min: opt_f64(row, "min")?,
-                max: opt_f64(row, "max")?,
-                tolerance_pct: opt_f64(row, "tolerance_pct")?,
-            });
-        }
-        Ok(BenchDoc { bench, profile, metrics })
+        let text = |v: &Value, key: &str| {
+            v.get(key)
+                .and_then(Value::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("missing or non-string \"{key}\""))
+        };
+        // An absent or `null` bound is no bound.
+        let bound = |row: &Value, key: &str| match row.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(x) => x.as_f64().map(Some).ok_or(format!("\"{key}\" is not a number or null")),
+        };
+        let rows =
+            v.get("metrics").and_then(Value::as_arr).ok_or("missing or non-array \"metrics\"")?;
+        let metrics = rows
+            .iter()
+            .map(|row| {
+                Ok(Metric {
+                    name: text(row, "name")?,
+                    value: row
+                        .get("value")
+                        .and_then(Value::as_f64)
+                        .ok_or("missing or non-numeric \"value\"")?,
+                    unit: text(row, "unit")?,
+                    min: bound(row, "min")?,
+                    max: bound(row, "max")?,
+                    tolerance_pct: bound(row, "tolerance_pct")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(BenchDoc { bench: text(&v, "bench")?, profile: text(&v, "profile")?, metrics })
     }
 
-    /// Serialize (pretty, deterministic — same float rules as every other
-    /// persisted artifact).
+    /// Serialize as a pretty JSON document through [`obs::json`].
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"bench\": \"{}\",", self.bench);
-        let _ = writeln!(s, "  \"profile\": \"{}\",", self.profile);
-        s.push_str("  \"metrics\": [");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\", \"min\": {}, \
-                 \"max\": {}, \"tolerance_pct\": {}}}",
-                m.name,
-                jf(m.value),
-                m.unit,
-                m.min.map_or("null".to_string(), jf),
-                m.max.map_or("null".to_string(), jf),
-                m.tolerance_pct.map_or("null".to_string(), jf)
-            );
-        }
-        s.push_str(if self.metrics.is_empty() { "]\n" } else { "\n  ]\n" });
-        s.push_str("}\n");
-        s
+        Value::obj([
+            ("bench", self.bench.to_json()),
+            ("profile", self.profile.to_json()),
+            ("metrics", self.metrics.to_json()),
+        ])
+        .pretty()
     }
 
     /// Check the document's own absolute bounds (`min` and `max`).
@@ -157,13 +150,8 @@ impl BenchDoc {
                     out.push(Diagnostic::new(
                         diag::BENCH_KERNEL,
                         format!(
-                            "{}/{}: {} {} is below the required floor {} {}",
-                            self.bench,
-                            m.name,
-                            jf(m.value),
-                            m.unit,
-                            jf(min),
-                            m.unit
+                            "{}/{}: {} {} is below the required floor {min} {}",
+                            self.bench, m.name, m.value, m.unit, m.unit
                         ),
                     ));
                 }
@@ -177,13 +165,8 @@ impl BenchDoc {
                     out.push(Diagnostic::new(
                         code,
                         format!(
-                            "{}/{}: {} {} exceeds the absolute bound {} {}",
-                            self.bench,
-                            m.name,
-                            jf(m.value),
-                            m.unit,
-                            jf(max),
-                            m.unit
+                            "{}/{}: {} {} exceeds the absolute bound {max} {}",
+                            self.bench, m.name, m.value, m.unit, m.unit
                         ),
                     ));
                 }
@@ -223,49 +206,14 @@ pub fn compare(fresh: &BenchDoc, baseline: &BenchDoc) -> Vec<Diagnostic> {
                 out.push(Diagnostic::new(
                     diag::BENCH_DRIFT,
                     format!(
-                        "{}/{}: {} {} drifted {:.2}% from baseline {} {} (tolerance {}%)",
-                        fresh.bench,
-                        m.name,
-                        jf(m.value),
-                        m.unit,
-                        drift_pct,
-                        jf(base.value),
-                        base.unit,
-                        jf(tol)
+                        "{}/{}: {} {} drifted {drift_pct:.2}% from baseline {} {} (tolerance {tol}%)",
+                        fresh.bench, m.name, m.value, m.unit, base.value, base.unit
                     ),
                 ));
             }
         }
     }
     out
-}
-
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string \"{key}\""))
-}
-
-fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Value::as_f64).ok_or_else(|| format!("missing or non-numeric \"{key}\""))
-}
-
-fn opt_f64(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => {
-            x.as_f64().map(Some).ok_or_else(|| format!("field \"{key}\" is not a number or null"))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -31,6 +31,22 @@ pub struct SyncRecord {
     pub overhead_s: f64,
 }
 
+// The per-sync row shape of `run_experiment --dump-syncs` and any result
+// document that dumps raw sync records.
+obs::json_struct!(SyncRecord {
+    index,
+    start_s,
+    end_s,
+    sim_time_s,
+    analysis_time_s,
+    sim_cap_w,
+    analysis_cap_w,
+    sim_power_w,
+    analysis_power_w,
+    slack,
+    overhead_s,
+});
+
 /// Result of one complete run.
 #[derive(Debug, Clone)]
 pub struct RunResult {

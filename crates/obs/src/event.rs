@@ -6,7 +6,8 @@
 //! compact JSONL line per event (the workspace carries no registry
 //! dependencies): field order is fixed per variant, floats print through
 //! Rust's shortest-roundtrip formatter, and non-finite floats serialize
-//! as `null` — the same rules `bench::json` applies to persisted results.
+//! as `null`. (Persisted documents go through [`crate::json`] instead,
+//! whose float rule also prints integral values with a trailing `.0`.)
 //!
 //! The schema is written down once, in the `schema!` table below: each
 //! variant's tag and its fields in serialized order. The table generates

@@ -29,6 +29,10 @@
 //! - [`to_jsonl`] / [`chrome_trace`] — exporters: a JSONL event log and a
 //!   Chrome-trace (Perfetto) timeline with per-node cap/power counter
 //!   tracks and phase activity lanes.
+//! - [`json`] — the one JSON document codec (value tree, strict parser,
+//!   pretty and compact printers, [`json_struct!`]) every persisted
+//!   artifact goes through: results, audit/health/metrics documents, the
+//!   stage profile and the bench documents.
 //! - [`Reporter`] — the quiet-aware progress printer the experiment bins
 //!   share instead of ad-hoc `println!` lines.
 //!
@@ -39,6 +43,7 @@
 
 mod event;
 pub mod hist;
+pub mod json;
 mod perfetto;
 pub mod profile;
 mod report;

@@ -25,8 +25,8 @@
 //!   instrumentation one line per site.
 
 use crate::hist::Histogram;
+use crate::json::{ToJson, Value};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -102,27 +102,27 @@ pub fn snapshot() -> Vec<(String, Histogram)> {
 /// per-stage count, exact min/max/mean/total, and bucket-resolution
 /// p50/p95/p99. Wall-clock values — nondeterministic, never byte-diffed.
 pub fn to_json() -> String {
-    let mut out = String::from("{");
-    let _ = write!(out, "\"schema_version\":{PROFILE_SCHEMA_VERSION},\"stages\":{{");
-    for (i, (name, h)) in snapshot().iter().enumerate() {
-        let mean = h.mean_ns();
-        let _ = write!(
-            out,
-            "{}\"{name}\":{{\"count\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\
-             \"total_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-            if i > 0 { "," } else { "" },
-            h.count,
-            if h.count == 0 { 0 } else { h.min_ns },
-            h.max_ns,
-            if mean.is_finite() { format!("{mean}") } else { "null".to_string() },
-            h.sum_ns(),
-            h.quantile_ns(0.50),
-            h.quantile_ns(0.95),
-            h.quantile_ns(0.99),
-        );
-    }
-    out.push_str("}}");
-    out
+    let stages = snapshot()
+        .into_iter()
+        .map(|(name, h)| {
+            let stage = Value::obj([
+                ("count", h.count.to_json()),
+                ("min_ns", if h.count == 0 { 0 } else { h.min_ns }.to_json()),
+                ("max_ns", h.max_ns.to_json()),
+                ("mean_ns", h.mean_ns().to_json()),
+                ("total_ns", h.sum_ns().to_json()),
+                ("p50_ns", h.quantile_ns(0.50).to_json()),
+                ("p95_ns", h.quantile_ns(0.95).to_json()),
+                ("p99_ns", h.quantile_ns(0.99).to_json()),
+            ]);
+            (name, stage)
+        })
+        .collect();
+    Value::obj([
+        ("schema_version", PROFILE_SCHEMA_VERSION.to_json()),
+        ("stages", Value::Obj(stages)),
+    ])
+    .compact()
 }
 
 #[cfg(test)]

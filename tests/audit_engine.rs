@@ -166,7 +166,7 @@ fn serialized_and_tapped_traces_agree() {
 fn audit_report_json_is_strictly_parseable() {
     let report = AuditReport::from_trace(&quick_trace(quick_cfg()));
     let doc = report.to_json();
-    let v = audit::json::parse(&doc).expect("audit report must be valid JSON");
+    let v = obs::json::parse(&doc).expect("audit report must be valid JSON");
     assert_eq!(
         v.get("events").and_then(|x| x.as_u64()),
         Some(report.events),

@@ -8,7 +8,7 @@
 //! exporters' well-formedness: every line must round-trip
 //! **byte-for-byte** through the strict [`obs::TraceEvent::parse_line`],
 //! every tag the stack emits must resolve through [`obs::vocab`], and the
-//! Chrome-trace document must parse under [`audit::json`] with monotone
+//! Chrome-trace document must parse under [`obs::json`] with monotone
 //! timestamps.
 
 use audit::{StreamAuditor, Trace};
@@ -310,7 +310,7 @@ fn ts_values(doc: &str) -> Vec<f64> {
 #[test]
 fn perfetto_export_is_valid_json_with_monotone_timestamps() {
     let doc = chrome_trace(&one_of_each());
-    audit::json::parse(&doc).expect("chrome trace must be valid JSON");
+    obs::json::parse(&doc).expect("chrome trace must be valid JSON");
     let ts = ts_values(&doc);
     assert!(!ts.is_empty(), "export has timestamped entries");
     for w in ts.windows(2) {
@@ -323,7 +323,7 @@ fn perfetto_export_of_a_real_run_has_cap_and_phase_lanes() {
     let tracer = Tracer::enabled();
     run_job_traced(quick_cfg("seesaw"), &tracer).expect("known controller");
     let doc = chrome_trace(&tracer.events());
-    let v = audit::json::parse(&doc).expect("chrome trace must be valid JSON");
+    let v = obs::json::parse(&doc).expect("chrome trace must be valid JSON");
     let entries = v
         .get("traceEvents")
         .and_then(|e| e.as_arr())
