@@ -349,15 +349,7 @@ fn main() {
         profile: if quick { "quick" } else { "full" }.to_string(),
         metrics,
     };
-    let dir = bench::results_dir();
-    let path = dir.join("BENCH_kernels.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.to_json()))
-    {
-        rep.warn(format!("cannot write {}: {e}", path.display()));
-    } else {
-        rep.note(format!("wrote {}", path.display()));
-    }
+    bench::write_doc(&rep, &bench::results_dir(), "BENCH_kernels.json", &doc.to_json());
 
     // Gate at the source too: a run that breaks a kernel promise exits
     // nonzero even before bench_gate diffs the persisted documents.

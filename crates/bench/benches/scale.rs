@@ -104,15 +104,7 @@ fn main() {
             metric("speedup_sparse_x", speedup, "x", Some(SPEEDUP_MIN), None),
         ],
     };
-    let dir = bench::results_dir();
-    let path = dir.join("BENCH_scale.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.to_json()))
-    {
-        rep.warn(format!("cannot write {}: {e}", path.display()));
-    } else {
-        rep.note(format!("wrote {}", path.display()));
-    }
+    bench::write_doc(&rep, &bench::results_dir(), "BENCH_scale.json", &doc.to_json());
 
     let fails = doc.check_bounds();
     if !fails.is_empty() {

@@ -157,15 +157,7 @@ fn main() {
             metric("overhead_audit_pct", pct(audit_ms), "pct", Some(AUDIT_OVERHEAD_MAX_PCT), None),
         ],
     };
-    let dir = bench::results_dir();
-    let path = dir.join("BENCH_trace.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.to_json()))
-    {
-        rep.warn(format!("cannot write {}: {e}", path.display()));
-    } else {
-        rep.note(format!("wrote {}", path.display()));
-    }
+    bench::write_doc(&rep, &bench::results_dir(), "BENCH_trace.json", &doc.to_json());
 
     let fails = doc.check_bounds();
     if !fails.is_empty() {

@@ -12,7 +12,7 @@
 //! deliberately excluded from the byte-determinism gates).
 
 use obs::Reporter;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Flags shared by every experiment bin.
@@ -204,12 +204,9 @@ pub fn trace_session(args: &CommonArgs) -> TraceSession {
 pub fn finish_session(bin: &str, args: &CommonArgs, rep: &Reporter, session: TraceSession) {
     let TraceSession { tracer, auditor } = session;
     write_trace_files(args, rep, &tracer);
+    let dir = crate::results_dir();
     if args.profile {
-        let path = crate::results_dir().join(format!("profile_{bin}.json"));
-        match std::fs::write(&path, obs::profile::to_json()) {
-            Ok(()) => rep.note(format!("wrote {} (wall-clock; not byte-gated)", path.display())),
-            Err(e) => rep.warn(format!("cannot write {}: {e}", path.display())),
-        }
+        crate::write_doc(rep, &dir, &format!("profile_{bin}.json"), &obs::profile::to_json());
     }
     let Some(auditor) = auditor else { return };
     // The run may still hold tracer clones (scheduler handles), so take
@@ -217,18 +214,7 @@ pub fn finish_session(bin: &str, args: &CommonArgs, rep: &Reporter, session: Tra
     // to unwrap the Arc.
     let auditor = std::mem::take(&mut *auditor.lock().expect("auditor poisoned"));
     let outcome = auditor.finish();
-    let dir = crate::results_dir();
-    let writes = [
-        (dir.join(format!("audit_{bin}.json")), outcome.report.to_json()),
-        (dir.join(format!("health_{bin}.json")), audit::health_to_json(&outcome.health)),
-        (dir.join(format!("metrics_{bin}.json")), outcome.registry.to_json()),
-    ];
-    for (path, body) in writes {
-        match std::fs::write(&path, body) {
-            Ok(()) => rep.note(format!("wrote {}", path.display())),
-            Err(e) => rep.warn(format!("cannot write {}: {e}", path.display())),
-        }
-    }
+    write_audit_docs(rep, &dir, bin, &outcome);
     let report = outcome.report;
     rep.note(report.summary());
     if !report.clean() {
@@ -258,6 +244,24 @@ pub fn export_trace(bin: &str, args: &CommonArgs, rep: &Reporter, cfg: &insitu::
         return;
     }
     finish_session(bin, args, rep, session);
+}
+
+/// Write one audit pass's documents into `dir`: `audit_<stem>.json`
+/// (the report), `health_<stem>.json` (run-health snapshots) and
+/// `metrics_<stem>.json` (the metric registry). Returns whether all three
+/// were written.
+pub fn write_audit_docs(
+    rep: &Reporter,
+    dir: &Path,
+    stem: &str,
+    outcome: &audit::StreamOutcome,
+) -> bool {
+    let docs = [
+        ("audit", outcome.report.to_json()),
+        ("health", audit::health_to_json(&outcome.health)),
+        ("metrics", outcome.registry.to_json()),
+    ];
+    docs.iter().all(|(kind, body)| crate::write_doc(rep, dir, &format!("{kind}_{stem}.json"), body))
 }
 
 /// Write the JSONL and/or Perfetto exports of an already-filled tracer.
