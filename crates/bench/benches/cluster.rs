@@ -12,7 +12,7 @@ use mdsim::AnalysisKind;
 use mpisim::{coll, Communicator, JobLayout, NetworkModel};
 use std::hint::black_box;
 use std::time::Instant;
-use theta_sim::{CapMode, Cluster, MachineConfig, PhaseKind, Work};
+use theta_sim::{CapMode, Cluster, MachineConfig, NoiseModel, PhaseKind, Work};
 
 fn report(name: &str, iters: u64, mut f: impl FnMut(u64)) {
     let mut runs = Vec::new();
@@ -31,7 +31,7 @@ fn report(name: &str, iters: u64, mut f: impl FnMut(u64)) {
 
 fn bench_node_phase() {
     let machine = MachineConfig::theta();
-    let mut cluster = Cluster::noiseless(machine.clone(), 1, CapMode::Long, 110.0);
+    let mut cluster = Cluster::new(machine.clone(), &[110.0], CapMode::Long, NoiseModel::silent(1));
     let mut t = SimTime::ZERO;
     report("node_run_phase", 50_000, |_| {
         t = cluster.node_mut(0).run_phase(&machine, t, Work::new(PhaseKind::Force, 0.001), 1.0);

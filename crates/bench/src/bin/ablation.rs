@@ -25,23 +25,22 @@ struct Row {
 }
 obs::json_struct!(Row { study, variant, improvement_pct });
 
-fn spec(dim: u32, nodes: usize, kinds: &[K]) -> WorkloadSpec {
-    let mut s = WorkloadSpec::paper(dim, nodes, 1, kinds);
-    s.total_steps = total_steps();
-    s
-}
-
 fn main() {
     let args = cli::CommonArgs::parse("ablation");
     let rep = args.reporter();
     let mut rows = Vec::new();
     let nodes = if args.quick { 32 } else { 128 };
+    let spec = |dim: u32, kinds: &[K]| {
+        let mut s = WorkloadSpec::paper(dim, nodes, 1, kinds);
+        s.total_steps = total_steps(args.quick);
+        s
+    };
 
     // --- Eq. 4: literal vs blended EWMA, noisy MSD workload.
     for (label, mode) in
         [("paper-literal", EwmaMode::PaperLiteral), ("blend-previous", EwmaMode::BlendPrevious)]
     {
-        let s = spec(16, nodes, &[K::MsdFull]);
+        let s = spec(16, &[K::MsdFull]);
         let cfg = JobConfig::new(s, "seesaw");
         // Run with the requested EWMA by building the runtime manually.
         let mut ctl_cfg = cfg.clone();
@@ -67,7 +66,7 @@ fn main() {
 
     // --- Controller family on the local-optimum-prone low-demand case.
     for ctl in ["seesaw", "hierarchical-seesaw", "probing-seesaw", "time-aware"] {
-        let cfg = JobConfig::new(spec(36, nodes, &[K::Vacf]), ctl);
+        let cfg = JobConfig::new(spec(36, &[K::Vacf]), ctl);
         rows.push(Row {
             study: "controller-family",
             variant: ctl.to_string(),
@@ -79,12 +78,10 @@ fn main() {
     for kinds in [vec![K::Vacf], vec![K::MsdFull]] {
         let label = kinds[0];
         let dim = if label == K::MsdFull { 16 } else { 36 };
-        let base =
-            run_job(JobConfig::new(spec(dim, nodes, &kinds), "static")).expect("known controller");
-        let see = run_job(JobConfig::new(spec(dim, nodes, &kinds), "seesaw").with_seed(1, 1))
+        let base = run_job(JobConfig::new(spec(dim, &kinds), "static")).expect("known controller");
+        let see = run_job(JobConfig::new(spec(dim, &kinds), "seesaw").with_seed(1, 1))
             .expect("known controller");
-        let ts =
-            run_time_shared(JobConfig::new(spec(dim, nodes, &kinds), "static").with_seed(1, 2));
+        let ts = run_time_shared(JobConfig::new(spec(dim, &kinds), "static").with_seed(1, 2));
         rows.push(Row {
             study: "sharing-mode",
             variant: format!("{}: space-shared seesaw", label.name()),
@@ -95,7 +92,7 @@ fn main() {
             variant: format!("{}: time-shared", label.name()),
             improvement_pct: improvement_pct(base.total_time_s, ts.total_time_s),
         });
-        let co = run_colocated(JobConfig::new(spec(dim, nodes, &kinds), "seesaw").with_seed(1, 3))
+        let co = run_colocated(JobConfig::new(spec(dim, &kinds), "seesaw").with_seed(1, 3))
             .expect("known controller");
         rows.push(Row {
             study: "sharing-mode",
@@ -117,10 +114,5 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     write_json(&rep, "ablation", &rows);
-    cli::export_trace(
-        "ablation",
-        &args,
-        &rep,
-        &JobConfig::new(spec(16, nodes, &[K::MsdFull]), "seesaw"),
-    );
+    cli::export_trace("ablation", &args, &rep, &JobConfig::new(spec(16, &[K::MsdFull]), "seesaw"));
 }

@@ -49,7 +49,7 @@ fn main() {
     let intensities: &[f64] =
         if args.quick { &[0.0, 0.5, 1.0] } else { &[0.0, 0.1, 0.25, 0.5, 0.75, 1.0] };
     let mut spec = WorkloadSpec::paper(16, 8, 1, &[K::Vacf]);
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(args.quick);
     let nodes = spec.nodes_total();
     let syncs = spec.sync_count();
     let base_cfg = JobConfig::new(spec, "seesaw");

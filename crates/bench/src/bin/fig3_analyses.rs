@@ -47,13 +47,14 @@ fn measure(
     dim: u32,
     kinds: &[K],
     nodes: usize,
+    quick: bool,
     rows: &mut Vec<Row>,
 ) {
     for ctl in CONTROLLERS {
         let mut spec = WorkloadSpec::paper(dim, nodes, 1, kinds);
-        spec.total_steps = total_steps();
+        spec.total_steps = total_steps(quick);
         let cfg = JobConfig::new(spec, ctl);
-        let imp = median_improvement(&cfg, repetitions()).expect("known controller");
+        let imp = median_improvement(&cfg, repetitions(quick)).expect("known controller");
         rows.push(Row { panel, workload, nodes, dim, controller: ctl, improvement_pct: imp });
     }
 }
@@ -64,18 +65,18 @@ fn main() {
     let mut rows = Vec::new();
 
     for (name, dim, kinds) in workloads_a() {
-        measure("a", name, dim, &kinds, 128, &mut rows);
+        measure("a", name, dim, &kinds, 128, args.quick, &mut rows);
     }
     let scales: &[usize] = if args.quick { &[256] } else { &[256, 512, 1024] };
     for &nodes in scales {
         for (name, dim, kinds) in workloads_b() {
-            measure("b", name, dim, &kinds, nodes, &mut rows);
+            measure("b", name, dim, &kinds, nodes, args.quick, &mut rows);
         }
     }
 
     rep.say(format!(
         "Fig. 3a — % improvement over static, 128 nodes (median of {})",
-        repetitions()
+        repetitions(args.quick)
     ));
     rep.blank();
     let tab = |panel: &str| {
@@ -127,6 +128,6 @@ fn main() {
     );
     write_json(&rep, "fig3_analyses", &rows);
     let mut spec = WorkloadSpec::paper(16, 128, 1, &[K::MsdFull]);
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(args.quick);
     cli::export_trace("fig3_analyses", &args, &rep, &JobConfig::new(spec, "seesaw"));
 }

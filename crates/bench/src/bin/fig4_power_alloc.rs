@@ -42,9 +42,9 @@ obs::json_struct!(BaselinePoint {
     analysis_power_w
 });
 
-fn spec() -> WorkloadSpec {
+fn spec(quick: bool) -> WorkloadSpec {
     let mut s = WorkloadSpec::paper(16, 128, 1, &[AnalysisKind::MsdFull]);
-    s.total_steps = total_steps();
+    s.total_steps = total_steps(quick);
     s
 }
 
@@ -54,7 +54,7 @@ fn main() {
     let mut alloc_points = Vec::new();
     let mut summary = Vec::new();
     for ctl in ["seesaw", "time-aware", "power-aware"] {
-        let r = run_job(JobConfig::new(spec(), ctl)).expect("known controller");
+        let r = run_job(JobConfig::new(spec(args.quick), ctl)).expect("known controller");
         for s in &r.syncs {
             alloc_points.push(AllocPoint {
                 controller: ctl.to_string(),
@@ -105,7 +105,7 @@ fn main() {
     );
 
     // Panels (d)/(e): static baseline time & power over the first 10 syncs.
-    let base = run_job(JobConfig::new(spec(), "static")).expect("known controller");
+    let base = run_job(JobConfig::new(spec(args.quick), "static")).expect("known controller");
     let baseline: Vec<BaselinePoint> = base
         .syncs
         .iter()
@@ -177,5 +177,5 @@ fn main() {
     write_json(&rep, "fig4_baseline", &baseline);
     // Representative traced run: the SeeSAw configuration of panel (a) —
     // its Perfetto export shows the per-node cap and phase lanes.
-    cli::export_trace("fig4_power_alloc", &args, &rep, &JobConfig::new(spec(), "seesaw"));
+    cli::export_trace("fig4_power_alloc", &args, &rep, &JobConfig::new(spec(args.quick), "seesaw"));
 }

@@ -47,7 +47,7 @@ fn main() {
     let runs = par::global().par_map_indexed(cells.len(), |i| {
         let (nodes, ctl) = cells[i];
         let mut spec = WorkloadSpec::paper(48, nodes, 1, &[K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-        spec.total_steps = total_steps();
+        spec.total_steps = total_steps(args.quick);
         run_job(JobConfig::new(spec, ctl)).expect("known controller")
     });
 
@@ -113,6 +113,6 @@ fn main() {
         1,
         &[K::Rdf, K::Msd1d, K::Msd2d, K::Vacf],
     );
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(args.quick);
     cli::export_trace("fig5_scale", &args, &rep, &JobConfig::new(spec, "seesaw"));
 }

@@ -32,7 +32,7 @@ fn main() {
     let rows: Vec<Row> = par::global().par_map_indexed(cases.len(), |k| {
         let (j, w) = cases[k];
         let mut spec = WorkloadSpec::paper(48, nodes, j, &[K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-        spec.total_steps = total_steps();
+        spec.total_steps = total_steps(args.quick);
         let cfg = JobConfig::new(spec, "seesaw").with_window(w);
         let imp = paired_improvement(&cfg).expect("known controller");
         Row { j, w, improvement_pct: imp }
@@ -80,7 +80,7 @@ fn main() {
     );
     write_json(&rep, "fig6_sensitivity", &rows);
     let mut spec = WorkloadSpec::paper(48, nodes, 1, &[K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(args.quick);
     cli::export_trace(
         "fig6_sensitivity",
         &args,

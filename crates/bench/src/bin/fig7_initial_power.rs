@@ -26,11 +26,11 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (case, s0, a0) in cases {
-        let vals: Vec<f64> = (0..repetitions())
+        let vals: Vec<f64> = (0..repetitions(args.quick))
             .map(|rep| {
                 let mut spec =
                     WorkloadSpec::paper(36, 128, 1, &[K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-                spec.total_steps = total_steps();
+                spec.total_steps = total_steps(args.quick);
                 let base_cfg = JobConfig::new(spec, "static")
                     .with_window(2)
                     .with_initial_caps(s0, a0)
@@ -87,7 +87,7 @@ fn main() {
     );
     write_json(&rep, "fig7_initial_power", &rows);
     let mut spec = WorkloadSpec::paper(36, 128, 1, &[K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(args.quick);
     let cfg = JobConfig::new(spec, "seesaw").with_window(2).with_initial_caps(120.0, 100.0);
     cli::export_trace("fig7_initial_power", &args, &rep, &cfg);
 }

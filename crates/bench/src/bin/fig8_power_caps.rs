@@ -25,12 +25,12 @@ fn main() {
     // sweep across the worker pool (median_improvement's own dispatch then
     // falls back to serial — the pool rejects nested use). Rows come back
     // slotted by cap index, so the JSON matches the serial sweep.
-    let reps = repetitions();
+    let reps = repetitions(args.quick);
     let rows: Vec<Row> = par::global().par_map_indexed(caps.len(), |k| {
         let cap = caps[k];
         let mut spec =
             WorkloadSpec::paper(16, 128, 1, &[K::MsdFull, K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-        spec.total_steps = total_steps();
+        spec.total_steps = total_steps(args.quick);
         let cfg = JobConfig::new(spec, "seesaw").with_budget(cap);
         let imp = median_improvement(&cfg, reps).expect("known controller");
         Row { budget_per_node_w: cap, improvement_pct: imp }
@@ -75,7 +75,7 @@ fn main() {
     write_json(&rep, "fig8_power_caps", &rows);
     let mut spec =
         WorkloadSpec::paper(16, 128, 1, &[K::MsdFull, K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(args.quick);
     cli::export_trace(
         "fig8_power_caps",
         &args,

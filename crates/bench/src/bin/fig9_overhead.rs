@@ -27,7 +27,7 @@ fn main() {
     let mut rows = Vec::new();
     for &nodes in scales {
         let mut spec = WorkloadSpec::paper(48, nodes, 1, &[K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-        spec.total_steps = total_steps();
+        spec.total_steps = total_steps(args.quick);
         let r = run_job(JobConfig::new(spec, "seesaw")).expect("known controller");
         let mean_overhead =
             r.syncs.iter().map(|s| s.overhead_s).sum::<f64>() / r.syncs.len() as f64;
@@ -67,6 +67,6 @@ fn main() {
     rep.say("overhead comparison by `cargo bench -p bench --bench trace_overhead`.");
     write_json(&rep, "fig9_overhead", &rows);
     let mut spec = WorkloadSpec::paper(48, scales[0], 1, &[K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]);
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(args.quick);
     cli::export_trace("fig9_overhead", &args, &rep, &JobConfig::new(spec, "seesaw"));
 }

@@ -145,7 +145,7 @@ fn run_cell(
 fn main() {
     let args = cli::CommonArgs::parse("fleet_sweep");
     let rep = args.reporter();
-    let steps = total_steps() / 25; // per-job syncs; the fleet multiplies
+    let steps = total_steps(args.quick) / 25; // per-job syncs; the fleet multiplies
 
     let mut rows = Vec::new();
     for (storm_name, storm) in &storms() {

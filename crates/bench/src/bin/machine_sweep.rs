@@ -141,7 +141,7 @@ fn run_scenario(sc: &Scenario, policy: Policy) -> Row {
 /// live auditor in constant memory under `--audit`.
 fn run_theta(args: &cli::CommonArgs, rep: &Reporter) {
     const THETA_NODES: usize = 4392;
-    let steps = if args.quick { 20 } else { total_steps() / 2 };
+    let steps = if args.quick { 20 } else { total_steps(false) / 2 };
     let mk_job = || {
         let mut spec = WorkloadSpec::paper(48, THETA_NODES, 1, &[K::Rdf, K::Vacf]);
         spec.total_steps = steps;
@@ -205,7 +205,7 @@ fn main() {
         run_theta(&args, &rep);
         return;
     }
-    let steps = total_steps() / 2;
+    let steps = total_steps(args.quick) / 2;
     let scs = scenarios(steps);
 
     // One task per (scenario, policy); each Scheduler::run already fans

@@ -15,9 +15,9 @@ struct Row {
 }
 obs::json_struct!(Row { varied, j, improvement_pct });
 
-fn run_case(varied: &'static str, j: u64) -> f64 {
+fn run_case(varied: &'static str, j: u64, quick: bool) -> f64 {
     let mut spec = WorkloadSpec::paper(16, 128, 1, &[]);
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(quick);
     spec.analyses = match varied {
         "msd" => vec![
             AnalysisSchedule::every_sync(K::Rdf),
@@ -31,7 +31,7 @@ fn run_case(varied: &'static str, j: u64) -> f64 {
         ],
     };
     let cfg = JobConfig::new(spec, "seesaw");
-    median_improvement(&cfg, repetitions()).expect("known controller")
+    median_improvement(&cfg, repetitions(quick)).expect("known controller")
 }
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
         ["msd", "vacf"].iter().flat_map(|&v| js.iter().map(move |&j| (v, j))).collect();
     let rows: Vec<Row> = par::global().par_map_indexed(cases.len(), |k| {
         let (varied, j) = cases[k];
-        Row { varied, j, improvement_pct: run_case(varied, j) }
+        Row { varied, j, improvement_pct: run_case(varied, j, args.quick) }
     });
 
     rep.say("Table II — SeeSAw improvement with mixed intervals, 128 nodes, w = 1, dim 16");
@@ -69,7 +69,7 @@ fn main() {
     rep.say("over-reactive, while a low-demand analysis at any interval is benign.");
     write_json(&rep, "table2_mixed", &rows);
     let mut spec = WorkloadSpec::paper(16, 128, 1, &[]);
-    spec.total_steps = total_steps();
+    spec.total_steps = total_steps(args.quick);
     spec.analyses = vec![
         AnalysisSchedule::every_sync(K::Rdf),
         AnalysisSchedule::every_sync(K::Vacf),

@@ -323,6 +323,16 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_path_named_quick_is_not_the_quick_flag() {
+        // `--quick` here is the trace file's name: the run stays full size.
+        let a = try_parse(&argv(&["--trace", "--quick"])).unwrap();
+        assert_eq!(a.trace.as_deref(), Some(std::path::Path::new("--quick")));
+        assert!(!a.quick);
+        assert_eq!(crate::total_steps(a.quick), 400);
+        assert_eq!(crate::repetitions(a.quick), 3);
+    }
+
+    #[test]
     fn empty_argv_is_fine() {
         let a = try_parse(&[]).unwrap();
         assert!(!a.quick && !a.quiet && !a.wants_trace());

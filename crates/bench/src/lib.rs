@@ -75,14 +75,15 @@ fn display_rel(path: &Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
-/// `--quick` mode: shrink the experiment for CI smoke tests.
+/// `--quick` scan of the raw argv, for the `benches/` harnesses that have
+/// no [`cli::CommonArgs`]; the bins read the parsed `args.quick` instead.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
 /// Steps to simulate: the paper's 400, or fewer under `--quick`.
-pub fn total_steps() -> u64 {
-    if quick_mode() {
+pub fn total_steps(quick: bool) -> u64 {
+    if quick {
         60
     } else {
         400
@@ -90,8 +91,8 @@ pub fn total_steps() -> u64 {
 }
 
 /// Repetitions for medians: the paper's 3, or 1 under `--quick`.
-pub fn repetitions() -> u64 {
-    if quick_mode() {
+pub fn repetitions(quick: bool) -> u64 {
+    if quick {
         1
     } else {
         3

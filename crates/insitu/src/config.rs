@@ -2,18 +2,19 @@
 
 use faults::FaultPlan;
 use mdsim::workload::WorkloadSpec;
-use theta_sim::{CapMode, MachineConfig, NoiseSeed};
+use theta_sim::{CapMode, Cluster, MachineConfig, NoiseModel, NoiseSeed, NoiseSigmas};
 
 /// How the runtime advances the cluster through each sync interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepMode {
-    /// Event-driven stepping when the run qualifies (quiet noise): nodes in
-    /// identical state share one representative walk on the DES queue, and
-    /// the rest adopt it. Falls back to dense stepping — bit-identically —
-    /// whenever noise makes per-node evolution stochastic.
+    /// Bucket the nodes that draw no noise (see
+    /// [`theta_sim::NoiseModel::draws`]): nodes in identical state share one
+    /// representative walk on the DES queue, and the rest adopt it. Nodes
+    /// that draw walk alone, so under paper-default noise — where every
+    /// node draws — this is the dense walk.
     Auto,
-    /// Always walk every node phase-by-phase (the reference semantics; the
-    /// dense-vs-sparse equivalence gates pin `Auto` against this).
+    /// Walk every node phase-by-phase (the reference semantics; the
+    /// equivalence gates pin `Auto` against this).
     Dense,
 }
 
@@ -46,10 +47,12 @@ pub struct JobConfig {
     /// injects nothing and leaves the run byte-identical to a fault-free
     /// build.
     pub faults: FaultPlan,
-    /// Silence the noise model entirely (all sigmas zero, nominal
-    /// efficiencies). Quiet runs evolve deterministically per node state,
-    /// which is what lets [`StepMode::Auto`] bucket homogeneous nodes —
-    /// the scaling configuration for full-Theta node counts.
+    /// Silence the noise model (all sigmas zero, nominal efficiencies). A
+    /// quiet node draws nothing unless it sits below the cliff, where the
+    /// straggler lottery still draws from the seeded stream, so
+    /// [`StepMode::Auto`] buckets homogeneous nodes — the scaling
+    /// configuration for full-Theta node counts. Honoured by both the
+    /// space-shared runtime and time-shared mode.
     pub quiet_noise: bool,
     /// Stepping strategy (see [`StepMode`]).
     pub step: StepMode,
@@ -90,6 +93,19 @@ impl JobConfig {
         self.initial_analysis_cap_w.unwrap_or(self.budget_per_node_w)
     }
 
+    /// The job's cluster, one node per entry of `caps_w` (its initial
+    /// cap): the calibrated noise model for `cap_mode`, or a silent one
+    /// under `quiet_noise`, seeded by `seed` either way.
+    pub(crate) fn cluster(&self, caps_w: &[f64]) -> Cluster {
+        let n = caps_w.len();
+        let noise = if self.quiet_noise {
+            NoiseModel::with_sigmas(n, NoiseSigmas::zero(), self.seed)
+        } else {
+            NoiseModel::new(n, self.cap_mode, self.seed)
+        };
+        Cluster::new(self.machine.clone(), caps_w, self.cap_mode, noise)
+    }
+
     /// Builder: set the seed.
     pub fn with_seed(mut self, job: u64, run: u64) -> Self {
         self.seed = NoiseSeed::new(job, run);
@@ -127,8 +143,8 @@ impl JobConfig {
         self
     }
 
-    /// Builder: silence the noise model (enables bucketed stepping at
-    /// scale under [`StepMode::Auto`]).
+    /// Builder: silence the noise model (lets [`StepMode::Auto`] bucket
+    /// nodes at scale).
     pub fn with_quiet_noise(mut self) -> Self {
         self.quiet_noise = true;
         self

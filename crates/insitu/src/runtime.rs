@@ -25,7 +25,7 @@ use seesaw::{
     Controller, Limits, PowerAware, PowerAwareConfig, Role, SeeSaw, SeeSawConfig, StaticAlloc,
     TimeAware, TimeAwareConfig, UnknownController,
 };
-use theta_sim::{Cluster, MachineConfig, NoiseSigmas, PhaseKind, Work};
+use theta_sim::{Cluster, MachineConfig, PhaseKind, Work};
 
 /// Minimum accounted interval time (guards division by zero on degenerate
 /// configurations).
@@ -104,8 +104,6 @@ pub struct Runtime {
     /// The machine model, cached off the cluster so the interval loop never
     /// clones it.
     machine: MachineConfig,
-    /// Event-driven bucketed stepping (quiet noise under [`StepMode::Auto`]).
-    sparse: bool,
     tracer: obs::Tracer,
     // Stepping state (owned here so `run` is just a step loop).
     t: SimTime,
@@ -156,17 +154,7 @@ impl Runtime {
         let caps: Vec<f64> = (0..n)
             .map(|i| if i < spec.sim_nodes { cfg.sim_cap0_w() } else { cfg.analysis_cap0_w() })
             .collect();
-        let cluster = if cfg.quiet_noise {
-            Cluster::with_caps_sigmas(
-                cfg.machine.clone(),
-                &caps,
-                cfg.cap_mode,
-                NoiseSigmas::zero(),
-                cfg.seed,
-            )
-        } else {
-            Cluster::with_caps(cfg.machine.clone(), &caps, cfg.cap_mode, cfg.seed)
-        };
+        let cluster = cfg.cluster(&caps);
 
         // Two ranks per node: the monitor plus a peer, so monitor death
         // has a surviving rank to promote. Per-node times are already
@@ -184,7 +172,6 @@ impl Runtime {
         let sync_count = spec.sync_count();
         let all_nodes: Vec<usize> = (0..n).collect();
         let machine = cfg.machine.clone();
-        let sparse = cfg.step == StepMode::Auto && cluster.noise().is_quiet();
         Runtime {
             cfg,
             cluster,
@@ -194,7 +181,6 @@ impl Runtime {
             ana_nodes,
             all_nodes,
             machine,
-            sparse,
             tracer: obs::Tracer::off(),
             t: SimTime::ZERO,
             next_sync: 1,
@@ -385,6 +371,7 @@ impl Runtime {
             // step order, exactly the order the per-node walk runs them).
             let sim_phases: Vec<Work> =
                 steps.iter().flat_map(|sw| sw.sim_phases.iter().copied()).collect();
+            let bucket = self.cfg.step == StepMode::Auto;
             let sim_ctx: Vec<NodeCtx> = sim_alive
                 .iter()
                 .map(|&node| NodeCtx {
@@ -400,7 +387,7 @@ impl Runtime {
                 &sim_ctx,
                 &sim_phases,
                 t0,
-                self.sparse,
+                bucket,
                 &mut sim_arrivals,
             );
 
@@ -422,7 +409,7 @@ impl Runtime {
                 &ana_ctx,
                 ana_phases,
                 t0,
-                self.sparse,
+                bucket,
                 &mut ana_arrivals,
             );
 

@@ -1,29 +1,33 @@
 //! The cluster stepping core: how one partition's nodes advance through a
-//! sync interval's phase list.
+//! sync interval's phase list. Every node walk in the workspace — both
+//! partitions of the space-shared runtime and both epochs of time-shared
+//! mode — goes through [`advance_partition`].
 //!
-//! Two strategies produce byte-identical results:
+//! One predicate, [`theta_sim::NoiseModel::draws`], splits the nodes:
 //!
-//! * **Dense** — the reference semantics: every node walks every phase in
-//!   node order, drawing per-phase jitter from the shared noise stream.
-//!   O(nodes × phases) node touches per interval.
-//! * **Sparse** (event-driven, quiet runs only) — nodes whose evolution is
-//!   fully determined by their state (quiet noise, no straggler lottery)
-//!   are grouped into buckets by exact state fingerprint. One
-//!   representative per bucket walks the phases on the DES event queue —
-//!   buckets are only touched when the simulated clock reaches their next
-//!   completion time — and every other member adopts the representative's
-//!   walk verbatim. O(buckets × phases + nodes) per interval.
+//! * **Nodes that draw** (nonzero phase sigma, or a straggler lottery armed
+//!   by `sigma_scale > 1`) walk alone, phase by phase, in node order. That
+//!   is the order in which they consume the shared jitter stream.
+//! * **Nodes that draw nothing**, when bucketing is on, are grouped into
+//!   buckets by exact state fingerprint. One representative per bucket
+//!   walks the phases on the DES event queue — buckets are only touched
+//!   when the simulated clock reaches their next completion time — and
+//!   every other member adopts the representative's walk verbatim.
+//!   O(buckets × phases + nodes) per interval.
 //!
-//! Why the equivalence holds:
+//! Under paper-default noise every node draws, so the walk is the plain
+//! node-major loop. With bucketing off ([`crate::StepMode::Dense`]) every
+//! node walks alone: the reference the equivalence gates compare against.
 //!
-//! * Bucketed nodes consume **zero** randomness: the noise model's
-//!   zero-sigma fast paths return without drawing, so skipping them leaves
-//!   the shared RNG streams exactly where dense stepping would.
-//! * Nodes operating below the power cliff carry a straggler lottery that
-//!   draws from the stream even when sigmas are zero — those are always
-//!   walked densely, in node order, *before* the buckets, which is the
-//!   relative order dense stepping would consume their draws in (quiet
-//!   bucketed nodes in between contribute no draws).
+//! Why bucketing is byte-identical to walking every node:
+//!
+//! * A bucketed node consumes **zero** randomness: the noise model's
+//!   no-draw fast path returns exactly 1.0, so skipping it leaves the
+//!   shared stream where a walk would have left it. The nodes that do draw
+//!   keep their relative order.
+//! * A node walk touches only that node (span events are buffered per node
+//!   and flushed in node-id order), so walking the buckets after the
+//!   drawing nodes changes nothing observable.
 //! * Replicas adopt the representative's RAPL domain and draw segments by
 //!   copy, not by replay: `request_cap`'s epsilon no-op check makes
 //!   recomputation divergent, copying makes it exact.
@@ -37,61 +41,11 @@ pub(crate) struct NodeCtx {
     /// Node id.
     pub node: usize,
     /// Jitter sigma amplification (> 1 near the RAPL floor ⇒ the node
-    /// draws from the straggler lottery and must step densely).
+    /// draws from the straggler lottery).
     pub sigma_scale: f64,
-    /// Work stretch factor from an injected straggler fault.
+    /// Work stretch factor: an injected straggler fault, or time-shared
+    /// mode's per-node share of the partition's work.
     pub stretch: f64,
-}
-
-/// Advance every node in `ctx` (already filtered to survivors, in node
-/// order) from `t0` through `phases`, appending `(node, arrival)` pairs to
-/// `arrivals` in node order. `sparse` selects the event-driven strategy;
-/// it requires a quiet noise model (checked by the caller).
-pub(crate) fn advance_partition(
-    cluster: &mut Cluster,
-    machine: &MachineConfig,
-    ctx: &[NodeCtx],
-    phases: &[Work],
-    t0: SimTime,
-    sparse: bool,
-    arrivals: &mut Vec<(usize, SimTime)>,
-) {
-    if sparse {
-        advance_sparse(cluster, machine, ctx, phases, t0, arrivals);
-    } else {
-        advance_dense(cluster, machine, ctx, phases, t0, arrivals);
-    }
-}
-
-/// Reference semantics: node-major walk, one jitter draw per phase.
-fn advance_dense(
-    cluster: &mut Cluster,
-    machine: &MachineConfig,
-    ctx: &[NodeCtx],
-    phases: &[Work],
-    t0: SimTime,
-    arrivals: &mut Vec<(usize, SimTime)>,
-) {
-    for c in ctx {
-        arrivals.push((c.node, walk_node(cluster, machine, c, phases, t0)));
-    }
-}
-
-/// Walk one node through the whole phase list, drawing its jitter.
-fn walk_node(
-    cluster: &mut Cluster,
-    machine: &MachineConfig,
-    c: &NodeCtx,
-    phases: &[Work],
-    t0: SimTime,
-) -> SimTime {
-    let mut cursor = t0;
-    for &w in phases {
-        let w = stretch_work(w, c.stretch);
-        let jitter = cluster.noise_mut().phase_jitter_scaled(c.sigma_scale);
-        cursor = cluster.node_mut(c.node).run_phase(machine, cursor, w, jitter);
-    }
-    cursor
 }
 
 /// One bucket of state-identical nodes sharing a representative walk.
@@ -106,49 +60,47 @@ struct Bucket {
     cursor: SimTime,
 }
 
-/// Event-driven strategy. Straggler-lottery nodes step densely first (in
-/// node order — see the module docs for why that preserves the stream),
-/// then each state-bucket's representative advances phase-by-phase on the
-/// DES queue and fans its walk out to the members.
-fn advance_sparse(
+/// Advance every node in `ctx` (in node order) from `t0` through `phases`,
+/// appending `(node, arrival)` pairs to `arrivals` in node order. With
+/// `bucket`, nodes that draw no noise share one walk per state bucket.
+pub(crate) fn advance_partition(
     cluster: &mut Cluster,
     machine: &MachineConfig,
     ctx: &[NodeCtx],
     phases: &[Work],
     t0: SimTime,
+    bucket: bool,
     arrivals: &mut Vec<(usize, SimTime)>,
 ) {
-    debug_assert!(cluster.noise().is_quiet(), "sparse stepping needs a quiet noise model");
-    // Arrival per ctx index, so the final arrivals list keeps node order.
-    let mut done: Vec<SimTime> = vec![t0; ctx.len()];
-
-    // Pass 1: nodes that consume the jitter stream walk densely.
-    for (i, c) in ctx.iter().enumerate() {
-        if c.sigma_scale > 1.0 {
-            done[i] = walk_node(cluster, machine, c, phases, t0);
-        }
-    }
-
-    // Pass 2: bucket the quiet nodes by exact evolution state. BTreeMap
-    // iteration keeps bucket order (and thus queue tie-breaking)
-    // deterministic.
+    let base = arrivals.len();
+    // Drawing nodes walk now, in node order. The rest are grouped by exact
+    // evolution state; BTreeMap iteration keeps bucket order (and thus
+    // queue tie-breaking) deterministic.
     let mut groups: BTreeMap<(u64, NodeStateKey), Vec<usize>> = BTreeMap::new();
     for (i, c) in ctx.iter().enumerate() {
-        if c.sigma_scale <= 1.0 {
+        let arrival = if bucket && !cluster.noise().draws(c.sigma_scale) {
             groups
                 .entry((c.stretch.to_bits(), cluster.node(c.node).state_key()))
                 .or_default()
                 .push(i);
-        }
+            // Placeholder: the bucket's walk overwrites it below.
+            t0
+        } else {
+            walk_node(cluster, machine, c, phases, t0)
+        };
+        arrivals.push((c.node, arrival));
+    }
+    if groups.is_empty() {
+        return;
     }
     let mut buckets: Vec<Bucket> = groups
         .into_values()
         .map(|idxs| Bucket { stretch: ctx[idxs[0]].stretch, idxs, next_phase: 0, cursor: t0 })
         .collect();
 
-    // Pass 3: representative walks, event-driven. Each bucket sits in the
-    // queue keyed by its next completion boundary; it is not touched until
-    // the DES clock reaches it.
+    // Representative walks, event-driven. Each bucket sits in the queue
+    // keyed by its next completion boundary; it is not touched until the
+    // DES clock reaches it.
     let mut queue: EventQueue<usize> = EventQueue::new();
     let mut marks = Vec::with_capacity(buckets.len());
     for (bi, b) in buckets.iter().enumerate() {
@@ -161,8 +113,7 @@ fn advance_sparse(
         let b = &mut buckets[bi];
         debug_assert_eq!(now, b.cursor);
         let w = stretch_work(phases[b.next_phase], b.stretch);
-        // Quiet jitter is exactly 1.0 without a draw (the dense path's
-        // zero-sigma fast path returns the same constant).
+        // A bucketed node draws nothing: its jitter is exactly 1.0.
         b.cursor = cluster.node_mut(ctx[b.idxs[0]].node).run_phase(machine, b.cursor, w, 1.0);
         b.next_phase += 1;
         if b.next_phase < phases.len() {
@@ -170,30 +121,110 @@ fn advance_sparse(
         }
     }
 
-    // Pass 4: fan each representative's walk out to its members.
-    for (bi, b) in buckets.iter().enumerate() {
+    // Fan each representative's walk out to its members.
+    for (b, &mark) in buckets.iter().zip(&marks) {
         let rep = ctx[b.idxs[0]].node;
         for &i in &b.idxs {
-            done[i] = b.cursor;
+            arrivals[base + i].1 = b.cursor;
             let member = ctx[i].node;
             if member != rep {
-                cluster.adopt_walk(rep, member, marks[bi]);
+                cluster.adopt_walk(rep, member, mark);
             }
         }
     }
-
-    for (i, c) in ctx.iter().enumerate() {
-        arrivals.push((c.node, done[i]));
-    }
 }
 
-/// Stretch a phase's reference time by a straggler factor. `factor == 1`
-/// returns the work untouched (bit-for-bit), keeping the happy path and
-/// the RNG draw sequence identical.
-pub(crate) fn stretch_work(w: Work, factor: f64) -> Work {
+/// Walk one node through the whole phase list, drawing its jitter.
+fn walk_node(
+    cluster: &mut Cluster,
+    machine: &MachineConfig,
+    c: &NodeCtx,
+    phases: &[Work],
+    t0: SimTime,
+) -> SimTime {
+    let mut cursor = t0;
+    for &w in phases {
+        let w = stretch_work(w, c.stretch);
+        let jitter = cluster.noise_mut().phase_jitter(c.sigma_scale);
+        cursor = cluster.node_mut(c.node).run_phase(machine, cursor, w, jitter);
+    }
+    cursor
+}
+
+/// Stretch a phase's reference time by `factor`. `factor == 1` returns the
+/// work untouched (bit-for-bit), keeping the happy path and the RNG draw
+/// sequence identical.
+fn stretch_work(w: Work, factor: f64) -> Work {
     if factor == 1.0 {
         w
     } else {
         Work::scaled(w.kind, w.ref_secs * factor, w.demand_scale)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use theta_sim::{CapMode, NoiseModel, NoiseSeed, NoiseSigmas, PhaseKind};
+
+    /// Run two partitions — the second appending to the first's arrivals —
+    /// over a quiet cluster, returning arrivals and per-node energies.
+    fn run(bucket: bool) -> (Vec<(usize, SimTime)>, Vec<u64>) {
+        let machine = MachineConfig::theta();
+        let caps = [110.0, 110.0, 130.0, 130.0, 110.0, 110.0, 110.0, 130.0, 110.0, 110.0];
+        let noise = NoiseModel::with_sigmas(caps.len(), NoiseSigmas::zero(), NoiseSeed::new(3, 1));
+        let mut cluster = Cluster::new(machine.clone(), &caps, CapMode::Long, noise);
+        // In node order: lottery nodes (sigma_scale > 1) interleaved with
+        // bucketable quiet nodes and straggler-stretched ones.
+        let node = |node, sigma_scale, stretch| NodeCtx { node, sigma_scale, stretch };
+        let sim = [
+            node(0, 4.0, 1.0),
+            node(1, 1.0, 1.0),
+            node(2, 1.0, 1.0),
+            node(3, 2.0, 1.0),
+            node(4, 1.0, 1.5),
+            node(5, 1.0, 1.0),
+        ];
+        let ana = [node(6, 4.0, 1.0), node(7, 1.0, 1.0), node(8, 1.0, 1.5), node(9, 3.0, 1.0)];
+        let kinds = [PhaseKind::Force, PhaseKind::NeighborRebuild, PhaseKind::SyncExchange];
+        let phases: Vec<Work> =
+            (0..300).map(|i| Work::new(kinds[i % kinds.len()], 0.01 + 0.001 * i as f64)).collect();
+        let mut arrivals = Vec::new();
+        advance_partition(
+            &mut cluster,
+            &machine,
+            &sim,
+            &phases,
+            SimTime::ZERO,
+            bucket,
+            &mut arrivals,
+        );
+        advance_partition(
+            &mut cluster,
+            &machine,
+            &ana,
+            &phases,
+            SimTime::ZERO,
+            bucket,
+            &mut arrivals,
+        );
+        let end = arrivals.iter().map(|&(_, a)| a).max().unwrap_or(SimTime::ZERO);
+        let energies = (0..caps.len())
+            .map(|id| cluster.node(id).energy(SimTime::ZERO, end).to_bits())
+            .collect();
+        (arrivals, energies)
+    }
+
+    #[test]
+    fn bucketing_a_mixed_partition_matches_the_dense_walk() {
+        let (bucketed, e_bucketed) = run(true);
+        let (dense, e_dense) = run(false);
+        assert_eq!(bucketed, dense);
+        assert_eq!(e_bucketed, e_dense);
+        let nodes: Vec<usize> = dense.iter().map(|&(n, _)| n).collect();
+        assert_eq!(nodes, (0..10).collect::<Vec<_>>());
+        // The lottery fired: node 0 (a straggler draw) and node 1 (quiet)
+        // share cap and stretch, so without a draw they would tie.
+        assert_ne!(dense[0].1, dense[1].1, "lottery never fired; the test would be vacuous");
     }
 }

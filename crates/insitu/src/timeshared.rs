@@ -10,11 +10,12 @@
 //! This runtime exists to quantify that trade-off against the space-shared
 //! mode SeeSAw targets (see `bench/src/bin/ablation.rs`).
 
-use crate::config::JobConfig;
+use crate::config::{JobConfig, StepMode};
 use crate::result::{RunResult, SyncRecord};
+use crate::stepper::{self, NodeCtx};
 use des::SimTime;
 use mdsim::workload::{AnalyticWorkload, StepWork, WorkloadGen};
-use theta_sim::Cluster;
+use theta_sim::Work;
 
 /// Execute the job's workload in time-shared mode: every node runs the
 /// simulation phases, then the analysis phases, sequentially at each step.
@@ -26,64 +27,56 @@ pub fn run_time_shared(cfg: JobConfig) -> RunResult {
     let spec = cfg.workload.clone();
     let n = spec.nodes_total();
     let machine = cfg.machine.clone();
-    let caps: Vec<f64> = vec![cfg.budget_per_node_w; n];
-    let mut cluster = Cluster::with_caps(machine.clone(), &caps, cfg.cap_mode, cfg.seed);
+    let mut cluster = cfg.cluster(&vec![cfg.budget_per_node_w; n]);
     let mut workload = AnalyticWorkload::new(spec.clone());
+    let bucket = cfg.step == StepMode::Auto;
 
-    let sim_scale = spec.sim_nodes as f64 / n as f64;
-    let ana_scale = spec.analysis_nodes as f64 / n as f64;
+    // Every node takes an equal share of each side's work.
+    let share = |side_nodes: usize| -> Vec<NodeCtx> {
+        let stretch = side_nodes as f64 / n as f64;
+        (0..n).map(|node| NodeCtx { node, sigma_scale: 1.0, stretch }).collect()
+    };
+    let sim_ctx = share(spec.sim_nodes);
+    let ana_ctx = share(spec.analysis_nodes);
     let j = spec.sync_every;
     let mut t = SimTime::ZERO;
     let mut syncs = Vec::new();
+    let mut arrivals = Vec::with_capacity(n);
+    let all: Vec<usize> = (0..n).collect();
 
     for sync_k in 1..=spec.sync_count() {
         let t0 = t;
         let steps: Vec<StepWork> =
             ((sync_k - 1) * j + 1..=sync_k * j).map(|s| workload.step_work(s)).collect();
 
-        // Simulation epoch: every node works on a (smaller) sub-domain.
-        let mut sim_end = t0;
-        let mut arrivals = Vec::with_capacity(n);
-        for node in 0..n {
-            let mut cursor = t0;
-            for sw in &steps {
-                for &w in &sw.sim_phases {
-                    let scaled =
-                        theta_sim::Work::scaled(w.kind, w.ref_secs * sim_scale, w.demand_scale);
-                    let jitter = cluster.noise_mut().phase_jitter();
-                    cursor = cluster.node_mut(node).run_phase(&machine, cursor, scaled, jitter);
-                }
+        // Simulation epoch, then the analysis epoch (the sync step's
+        // phases), each on every node and closed by a barrier.
+        let sim_phases: Vec<Work> =
+            steps.iter().flat_map(|sw| sw.sim_phases.iter().copied()).collect();
+        let ana_phases: &[Work] = steps.last().map(|s| s.analysis_phases.as_slice()).unwrap_or(&[]);
+        let mut epoch = |ctx: &[NodeCtx], phases: &[Work], start: SimTime| {
+            arrivals.clear();
+            stepper::advance_partition(
+                &mut cluster,
+                &machine,
+                ctx,
+                phases,
+                start,
+                bucket,
+                &mut arrivals,
+            );
+            let end = arrivals.iter().map(|&(_, a)| a).fold(start, SimTime::max);
+            for &(node, arr) in &arrivals {
+                cluster.node_mut(node).wait_until(&machine, arr, end);
             }
-            sim_end = sim_end.max(cursor);
-            arrivals.push(cursor);
-        }
-        for (node, &arr) in arrivals.iter().enumerate() {
-            cluster.node_mut(node).wait_until(&machine, arr, sim_end);
-        }
-
-        // Analysis epoch (the sync step's phases), again on all nodes.
-        let ana_phases = steps.last().map(|s| s.analysis_phases.clone()).unwrap_or_default();
-        let mut ana_end = sim_end;
-        let mut arrivals = Vec::with_capacity(n);
-        for node in 0..n {
-            let mut cursor = sim_end;
-            for &w in &ana_phases {
-                let scaled =
-                    theta_sim::Work::scaled(w.kind, w.ref_secs * ana_scale, w.demand_scale);
-                let jitter = cluster.noise_mut().phase_jitter();
-                cursor = cluster.node_mut(node).run_phase(&machine, cursor, scaled, jitter);
-            }
-            ana_end = ana_end.max(cursor);
-            arrivals.push(cursor);
-        }
-        for (node, &arr) in arrivals.iter().enumerate() {
-            cluster.node_mut(node).wait_until(&machine, arr, ana_end);
-        }
+            end
+        };
+        let sim_end = epoch(&sim_ctx, &sim_phases, t0);
+        let ana_end = epoch(&ana_ctx, ana_phases, sim_end);
 
         t = ana_end;
         let sim_time = sim_end.saturating_since(t0).as_secs_f64();
         let ana_time = ana_end.saturating_since(sim_end).as_secs_f64();
-        let all: Vec<usize> = (0..n).collect();
         syncs.push(SyncRecord {
             index: sync_k,
             start_s: t0.as_secs_f64(),
@@ -104,7 +97,6 @@ pub fn run_time_shared(cfg: JobConfig) -> RunResult {
         });
     }
 
-    let all: Vec<usize> = (0..n).collect();
     RunResult {
         controller: "time-shared".to_string(),
         total_time_s: t.as_secs_f64(),

@@ -2,7 +2,7 @@
 
 use crate::config::{CapMode, MachineConfig};
 use crate::node::Node;
-use crate::noise::{NoiseModel, NoiseSeed};
+use crate::noise::NoiseModel;
 use crate::rapl::RaplDomain;
 use des::{PeriodicSampler, SimTime, TimeSeries};
 
@@ -17,40 +17,20 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Build a cluster of `n` nodes, all initially capped at `initial_cap_w`
-    /// (ignored under [`CapMode::None`]).
+    /// Build a cluster with one node per entry of `caps_w`, each initially
+    /// capped at its entry (ignored under [`CapMode::None`]); unequal caps
+    /// give an unbalanced start (paper Fig. 7). `noise` covers the same
+    /// nodes: [`NoiseModel::new`] for the calibrated model,
+    /// [`NoiseModel::silent`] for a deterministic one (nominal
+    /// efficiencies, no jitter).
     pub fn new(
         config: MachineConfig,
-        n: usize,
-        cap_mode: CapMode,
-        initial_cap_w: f64,
-        seed: NoiseSeed,
-    ) -> Self {
-        assert!(n > 0, "cluster needs at least one node");
-        let noise = NoiseModel::new(n, cap_mode, seed);
-        let nodes = (0..n)
-            .map(|id| {
-                let rapl = match cap_mode {
-                    CapMode::None => RaplDomain::uncapped(&config),
-                    _ => RaplDomain::capped(&config, cap_mode, initial_cap_w),
-                };
-                Node::new(id, noise.node_efficiency(id), rapl)
-            })
-            .collect();
-        Cluster { config, nodes, noise, cap_mode }
-    }
-
-    /// Build with explicit initial per-node caps (e.g. an unbalanced
-    /// starting distribution, paper Fig. 7). `caps_w.len()` must equal `n`.
-    pub fn with_caps(
-        config: MachineConfig,
         caps_w: &[f64],
         cap_mode: CapMode,
-        seed: NoiseSeed,
+        noise: NoiseModel,
     ) -> Self {
-        assert!(!caps_w.is_empty());
-        let n = caps_w.len();
-        let noise = NoiseModel::new(n, cap_mode, seed);
+        assert!(!caps_w.is_empty(), "cluster needs at least one node");
+        assert_eq!(caps_w.len(), noise.nodes(), "noise model covers a different node count");
         let nodes = caps_w
             .iter()
             .enumerate()
@@ -63,55 +43,6 @@ impl Cluster {
             })
             .collect();
         Cluster { config, nodes, noise, cap_mode }
-    }
-
-    /// Like [`Cluster::with_caps`] but with explicit noise sigmas. Quiet
-    /// runs (all-zero phase/measure sigmas) make node evolution fully
-    /// deterministic per state, which is what enables bucketed event-driven
-    /// stepping in `insitu`.
-    pub fn with_caps_sigmas(
-        config: MachineConfig,
-        caps_w: &[f64],
-        cap_mode: CapMode,
-        sigmas: crate::noise::NoiseSigmas,
-        seed: NoiseSeed,
-    ) -> Self {
-        assert!(!caps_w.is_empty());
-        let n = caps_w.len();
-        let noise = NoiseModel::with_sigmas(n, sigmas, seed);
-        let nodes = caps_w
-            .iter()
-            .enumerate()
-            .map(|(id, &cap)| {
-                let rapl = match cap_mode {
-                    CapMode::None => RaplDomain::uncapped(&config),
-                    _ => RaplDomain::capped(&config, cap_mode, cap),
-                };
-                Node::new(id, noise.node_efficiency(id), rapl)
-            })
-            .collect();
-        Cluster { config, nodes, noise, cap_mode }
-    }
-
-    /// A deterministic cluster with zero noise (unit tests).
-    pub fn noiseless(
-        config: MachineConfig,
-        n: usize,
-        cap_mode: CapMode,
-        initial_cap_w: f64,
-    ) -> Self {
-        let mut c = Self::new(config, n, cap_mode, initial_cap_w, NoiseSeed::new(0, 0));
-        c.noise = NoiseModel::silent(n);
-        c.nodes = (0..n)
-            .map(|id| {
-                let rapl = match cap_mode {
-                    CapMode::None => RaplDomain::uncapped(&c.config),
-                    _ => RaplDomain::capped(&c.config, cap_mode, initial_cap_w),
-                };
-                Node::new(id, 1.0, rapl)
-            })
-            .collect();
-        c
     }
 
     /// Machine configuration.
@@ -270,7 +201,7 @@ mod tests {
     use crate::phase::{PhaseKind, Work};
 
     fn cluster(n: usize) -> Cluster {
-        Cluster::noiseless(MachineConfig::theta(), n, CapMode::Long, 110.0)
+        Cluster::new(MachineConfig::theta(), &vec![110.0; n], CapMode::Long, NoiseModel::silent(n))
     }
 
     #[test]
@@ -335,8 +266,8 @@ mod tests {
 
     #[test]
     fn noisy_cluster_efficiencies_vary() {
-        let c =
-            Cluster::new(MachineConfig::theta(), 64, CapMode::Long, 110.0, NoiseSeed::new(1, 1));
+        let noise = NoiseModel::new(64, CapMode::Long, crate::NoiseSeed::new(1, 1));
+        let c = Cluster::new(MachineConfig::theta(), &[110.0; 64], CapMode::Long, noise);
         let effs: Vec<f64> = c.nodes().iter().map(|n| n.efficiency()).collect();
         let min = effs.iter().cloned().fold(f64::MAX, f64::min);
         let max = effs.iter().cloned().fold(f64::MIN, f64::max);

@@ -75,7 +75,7 @@ mod randomized {
             let cap = rng.uniform(98.0, 215.0);
             let work = rng.uniform(0.01, 5.0);
             let m = MachineConfig::theta();
-            let mut c = Cluster::noiseless(m, 1, CapMode::Long, cap);
+            let mut c = Cluster::new(m, &[cap], CapMode::Long, NoiseModel::silent(1));
             let cfg = c.config().clone();
             let end = c.node_mut(0).run_phase(&cfg, SimTime::ZERO, Work::new(kind, work), 1.0);
             let mean = c.node(0).mean_power(SimTime::ZERO, end);
@@ -92,7 +92,7 @@ mod randomized {
             let cap = rng.uniform(98.0, 215.0);
             let work = rng.uniform(0.01, 5.0);
             let m = MachineConfig::theta();
-            let mut c = Cluster::noiseless(m, 1, CapMode::Long, cap);
+            let mut c = Cluster::new(m, &[cap], CapMode::Long, NoiseModel::silent(1));
             let cfg = c.config().clone();
             let end = c.node_mut(0).run_phase(&cfg, SimTime::ZERO, Work::new(kind, work), 1.0);
             let dt = end.as_secs_f64();
@@ -129,8 +129,8 @@ mod randomized {
             let cap = rng.uniform(98.0, 215.0);
             let work = rng.uniform(0.1, 3.0);
             let m = MachineConfig::theta();
-            let mut plain = Cluster::noiseless(m.clone(), 1, CapMode::Long, cap);
-            let mut poked = Cluster::noiseless(m, 1, CapMode::Long, cap);
+            let mut plain = Cluster::new(m.clone(), &[cap], CapMode::Long, NoiseModel::silent(1));
+            let mut poked = Cluster::new(m, &[cap], CapMode::Long, NoiseModel::silent(1));
             let cfg = plain.config().clone();
             poked.node_mut(0).rapl_mut().request_cap(&cfg, SimTime::ZERO, cap);
             let e1 = plain.node_mut(0).run_phase(&cfg, SimTime::ZERO, Work::new(kind, work), 1.0);

@@ -118,24 +118,26 @@ impl NoiseModel {
         self.node_efficiency.len()
     }
 
-    /// Multiplicative jitter on one phase duration (≥ 0.5).
-    pub fn phase_jitter(&mut self) -> f64 {
-        self.phase_jitter_scaled(1.0)
+    /// Whether walking one phase at `sigma_scale` consumes the jitter
+    /// stream: true iff the phase sigma is nonzero or the scale arms the
+    /// straggler lottery (`sigma_scale > 1`). A node for which this is
+    /// false evolves as a pure function of its state, so the stepper may
+    /// bucket it with state-identical nodes without shifting the stream.
+    pub fn draws(&self, sigma_scale: f64) -> bool {
+        self.sigmas.phase != 0.0 || sigma_scale > 1.0
     }
 
-    /// Phase jitter with an amplified sigma — operating near the RAPL floor
-    /// increases run-to-run variability (paper §VII-D), so the runtime
-    /// passes a scale > 1 for nodes capped near δ_min. Besides widening the
+    /// Multiplicative jitter on one phase duration (≥ 0.5), its sigma
+    /// amplified by `sigma_scale`. Operating near the RAPL floor increases
+    /// run-to-run variability (paper §VII-D), so the runtime passes a
+    /// scale above 1 for nodes capped near δ_min. Besides widening the
     /// Gaussian, low-power operation occasionally produces *stragglers*
     /// (multi-×10 % stalls from OS noise that the throttled cores cannot
     /// hide) — the dominant tail effect at δ_min on KNL.
-    pub fn phase_jitter_scaled(&mut self, sigma_scale: f64) -> f64 {
-        // Zero-sigma fast path: no jitter and no straggler lottery means no
-        // RNG draw at all. This is what lets the event-driven stepper skip
-        // quiet nodes entirely — a skipped node must consume zero stream —
-        // while the dense stepper stays bit-identical (the clamped normal at
-        // sigma 0 is exactly 1.0).
-        if self.sigmas.phase == 0.0 && sigma_scale <= 1.0 {
+    pub fn phase_jitter(&mut self, sigma_scale: f64) -> f64 {
+        // No-draw fast path (see [`NoiseModel::draws`]): exactly the value
+        // the sigma-0 draw would give, with zero stream consumed.
+        if !self.draws(sigma_scale) {
             return 1.0;
         }
         let base =
@@ -151,22 +153,12 @@ impl NoiseModel {
 
     /// Apply measurement noise to a true power reading.
     pub fn noisy_power(&mut self, true_watts: f64) -> f64 {
-        // Zero-sigma fast path mirrors `phase_jitter_scaled`: same value as
+        // Zero-sigma fast path mirrors `phase_jitter`: same value as
         // the sigma-0 draw (× exactly 1.0), zero stream consumed.
         if self.sigmas.measure == 0.0 {
             return true_watts.max(0.0);
         }
         (true_watts * self.measure_rng.normal_clamped(1.0, self.sigmas.measure)).max(0.0)
-    }
-
-    /// True when per-phase stepping consumes no randomness (phase jitter and
-    /// measurement sigmas both zero), i.e. node evolution is fully determined
-    /// by caps and work. The event-driven stepper may then advance a bucket
-    /// representative and fan the result out without desynchronizing the
-    /// shared RNG streams. Straggler draws (sigma scale > 1) still consume
-    /// the stream, so below-cliff nodes are always walked densely.
-    pub fn is_quiet(&self) -> bool {
-        self.sigmas.phase == 0.0 && self.sigmas.measure == 0.0
     }
 
     /// The sigma set in force.
@@ -185,7 +177,7 @@ mod tests {
         for n in 0..8 {
             assert_eq!(m.node_efficiency(n), 1.0);
         }
-        assert_eq!(m.phase_jitter(), 1.0);
+        assert_eq!(m.phase_jitter(1.0), 1.0);
         assert_eq!(m.noisy_power(110.0), 110.0);
     }
 
@@ -251,7 +243,7 @@ mod tests {
     fn phase_jitter_is_near_one() {
         let mut m = NoiseModel::new(1, CapMode::Long, NoiseSeed::new(2, 3));
         let n = 5000;
-        let mean: f64 = (0..n).map(|_| m.phase_jitter()).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| m.phase_jitter(1.0)).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.01, "{mean}");
     }
 }

@@ -151,6 +151,18 @@ SEESAW_TRACE="$c/dense.jsonl" SEESAW_RESULTS_DIR="$b" \
 tdiff "$c/sparse.jsonl" "$c/dense.jsonl"
 test -s "$c/sparse.jsonl"
 
+# Under default noise every node draws, so Auto buckets nothing: it must
+# walk exactly what the dense reference walks.
+echo "==> noisy auto-vs-dense equivalence: default noise under Auto is byte-identical to --step dense"
+SEESAW_TRACE="$c/noisy_auto.jsonl" SEESAW_RESULTS_DIR="$a" \
+    ./target/release/run_experiment --nodes 64 --dim 16 --steps 40 --analyses rdf,vacf \
+    --no-baseline --quiet
+SEESAW_TRACE="$c/noisy_dense.jsonl" SEESAW_RESULTS_DIR="$b" \
+    ./target/release/run_experiment --nodes 64 --dim 16 --steps 40 --analyses rdf,vacf \
+    --step dense --no-baseline --quiet
+tdiff "$c/noisy_auto.jsonl" "$c/noisy_dense.jsonl"
+test -s "$c/noisy_auto.jsonl"
+
 echo "==> full-Theta smoke: 4392-node machine_sweep --theta, audited streaming, T1 vs T4"
 SEESAW_RESULTS_DIR="$a" POLIMER_THREADS=1 \
     ./target/release/machine_sweep --theta --quick --quiet --audit >/dev/null

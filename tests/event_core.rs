@@ -1,11 +1,13 @@
-//! The event-driven cluster core's contract: sparse (bucketed,
+//! The event-driven cluster core's contract: `StepMode::Auto` (bucketed,
 //! DES-queue-driven) stepping is **byte-identical** to the dense
-//! reference walk — same results, same serialized trace — and node
-//! history stays O(1) per node over arbitrarily long runs.
+//! reference walk — same results, same serialized trace — in the runtime
+//! and in time-shared mode, and node history stays O(1) per node over
+//! arbitrarily long runs.
 
 use des::SimTime;
 use insitu::{
-    run_job_traced, FaultEvent, FaultKind, FaultPlan, JobConfig, RunResult, Runtime, StepMode,
+    run_job_traced, run_time_shared, FaultEvent, FaultKind, FaultPlan, JobConfig, RunResult,
+    Runtime, StepMode,
 };
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
@@ -78,9 +80,9 @@ fn sparse_equals_dense_below_the_power_cliff() {
 
 #[test]
 fn auto_falls_back_to_dense_on_a_noisy_run() {
-    // Default (noisy) runs must take the dense path under Auto — the two
-    // modes are the same code path, so equality is exact by construction;
-    // this pins the fallback so a future "sparse anyway" change trips.
+    // Under default noise every node draws, so Auto buckets nothing and
+    // must walk exactly what Dense walks; this trips if a change ever
+    // buckets a node that consumes the jitter stream.
     let mut spec = WorkloadSpec::paper(16, 8, 1, &[K::Vacf]);
     spec.total_steps = 20;
     let cfg = || JobConfig::new(spec.clone(), "seesaw");
@@ -88,6 +90,25 @@ fn auto_falls_back_to_dense_on_a_noisy_run() {
     let (dense, dense_trace) = traced(cfg(), StepMode::Dense);
     assert_identical(&sparse, &dense);
     assert_eq!(sparse_trace, dense_trace, "serialized traces diverged");
+}
+
+#[test]
+fn time_shared_honours_quiet_noise_and_step_mode() {
+    // A quiet time-shared run draws nothing, so the seed cannot matter,
+    // and bucketed (Auto) stepping must match the dense walk bit for bit.
+    let cfg = |job| {
+        let mut spec = WorkloadSpec::paper(16, 8, 1, &[K::Vacf]);
+        spec.total_steps = 20;
+        JobConfig::new(spec, "static").with_quiet_noise().with_seed(job, 0)
+    };
+    let a = run_time_shared(cfg(1));
+    let b = run_time_shared(cfg(2));
+    assert_identical(&a, &b);
+    let dense = run_time_shared(cfg(1).with_step(StepMode::Dense));
+    assert_identical(&a, &dense);
+    // With noise on, the seed does move the run.
+    let noisy = |job| JobConfig { quiet_noise: false, ..cfg(job) };
+    assert_ne!(run_time_shared(noisy(1)).total_time_s, run_time_shared(noisy(2)).total_time_s);
 }
 
 #[test]
